@@ -25,10 +25,15 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distlap import PhysicalUnits, PotentialModel, fold_y00, q_sl
-from .coeffs import ExactScalar
+from .distlap import delta_source, q_sl
 from .pseudofunction import AngularLabel, DeltaSum, PseudoFunction, RadialSeries, from_u
-from .radial import LogObstruction, frobenius, normalizable_at_origin
+from .radial import (
+    LogObstruction,
+    PhysicalUnits,
+    PotentialModel,
+    frobenius,
+    normalizable_at_origin,
+)
 
 __all__ = [
     "VerdictKind",
@@ -94,30 +99,11 @@ class Verdict:
 def q_nonvanishing(pf: PseudoFunction) -> bool:
     """Predicate: does the Laplacian of pf pick up any delta correction?
 
-    Scans the coefficient list directly for an occupied singular rung
-    (a_k != 0 with k + s - ell = -2p - 1, p a nonnegative integer,
-    2p >= ell) without constructing the sum itself.
+    Every occupied singular rung has its own iteration order p and a
+    nonzero weight a_k * coeff_B * coeff_C, so the correction sum is empty
+    exactly when no rung is occupied.
     """
-    s, ell = pf.radial.s, pf.angular.ell
-    if isinstance(s, float):
-        if not s.is_integer():
-            return False
-        s = int(s)
-    for k, a in enumerate(pf.radial.coeffs):
-        if a == 0:
-            continue
-        t = k + s - ell
-        if t % 2 == 0 or t > -1:
-            continue
-        p = (-t - 1) // 2
-        if 2 * p >= ell:
-            return True
-    return False
-
-
-def _source(pf: PseudoFunction, units: PhysicalUnits) -> DeltaSum:
-    scale = ExactScalar.rational(-units.hbar2_over_2m)
-    return fold_y00(q_sl(pf)).scaled(scale)
+    return not q_sl(pf).is_empty
 
 
 def classify_solution(
@@ -153,7 +139,7 @@ def classify_solution(
         )
 
     pf = from_u(result.series, AngularLabel(ell, mu))
-    source = _source(pf, units)
+    source = delta_source(pf, units)
 
     if root >= 0:
         u0 = Fraction(0) if result.series.is_exact else 0.0

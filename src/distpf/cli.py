@@ -10,7 +10,8 @@ Problems are described by flags and/or a flat `key = value` config file
 (`#` starts a comment); the potential is written `v[-1] = -2`, `v[0] = 0`
 and so on, the series for `laplacian` as `s = -3` and `coeffs = 1, 0, 2`.
 Exit codes: 0 success, 1 bad input, 2 the requested series solution needs
-a logarithm, 3 a verification residual exceeded the tolerance.
+a logarithm, 3 a verification residual exceeded the tolerance (NaN counts
+as exceeded).
 
 With --json PATH a machine-readable document is written that parses back
 to the same values: exact scalars appear as lists of
@@ -22,13 +23,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 from .classify import EQUATION_DESCRIPTIONS, EquationForm, Verdict, VerdictKind, classify_solution
 from .coeffs import ExactScalar, coeff_B, coeff_C, coeff_L
-from .distlap import PhysicalUnits, PotentialModel, laplacian
+from .distlap import laplacian
 from .oracle import (
     TestFunction,
     pair_delta,
@@ -44,7 +47,7 @@ from .pseudofunction import (
     PseudoFunction,
     RadialSeries,
 )
-from .radial import LogObstruction, frobenius, indicial_roots
+from .radial import LogObstruction, PhysicalUnits, PotentialModel, frobenius, indicial_roots
 
 __all__ = [
     "ProblemSpec",
@@ -158,7 +161,9 @@ def build_spec(config: dict, overrides: dict) -> ProblemSpec:
         if spec.order < 1:
             raise ConfigError("field order: must be at least 1")
     if "hbar2_over_2m" in merged:
-        spec.units = PhysicalUnits(Fraction(str(merged["hbar2_over_2m"])))
+        spec.units = PhysicalUnits(
+            _parse_number(str(merged["hbar2_over_2m"]), "exact", where="hbar2_over_2m")
+        )
     if "tol" in merged:
         spec.tol = float(str(merged["tol"]))
     if "verify" in merged:
@@ -356,31 +361,34 @@ def _require_series(spec: ProblemSpec) -> PseudoFunction:
     return PseudoFunction(series, AngularLabel(spec.ell, spec.mu))
 
 
-def _residual_grid(pf: PseudoFunction, tol: float):
-    """Residuals of the pairing identity for one pseudofunction."""
+def _residual_grid(cases, tol: float):
+    """Pairing-identity residuals over a fixed grid: (rows, worst, exit code).
+
+    A NaN residual makes ``worst`` NaN; the gate passes only if worst <= tol.
+    """
     rows = []
-    worst = 0.0
     polys = [
         {(0, 0, 0): Fraction(1)},
         {(0, 0, 0): Fraction(1), (1, 0, 0): Fraction(1)},
         {(2, 0, 0): Fraction(1), (0, 1, 1): Fraction(-2), (0, 0, 0): Fraction(3)},
     ]
-    for alpha in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        for i, poly in enumerate(polys):
-            phi = TestFunction.from_poly(poly, alpha)
-            r = verify_laplacian_identity(pf, phi)
-            worst = max(worst, r)
-            rows.append(
-                {
-                    "s": pf.radial.s,
-                    "ell": pf.angular.ell,
-                    "mu": pf.angular.mu,
-                    "alpha": str(alpha),
-                    "poly": i,
-                    "residual": r,
-                }
-            )
-    return rows, worst
+    for pf in cases:
+        for alpha in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            for i, poly in enumerate(polys):
+                phi = TestFunction.from_poly(poly, alpha)
+                rows.append(
+                    {
+                        "s": pf.radial.s,
+                        "ell": pf.angular.ell,
+                        "mu": pf.angular.mu,
+                        "alpha": str(alpha),
+                        "poly": i,
+                        "residual": verify_laplacian_identity(pf, phi),
+                    }
+                )
+    residuals = [row["residual"] for row in rows]
+    worst = math.nan if any(map(math.isnan, residuals)) else max(residuals, default=0.0)
+    return rows, worst, 0 if worst <= tol else 3
 
 
 def _cmd_laplacian(spec: ProblemSpec):
@@ -391,11 +399,9 @@ def _cmd_laplacian(spec: ProblemSpec):
     payload = serialize_expr(expr)
     code = 0
     if spec.verify:
-        rows, worst = _residual_grid(pf, spec.tol)
+        rows, worst, code = _residual_grid([pf], spec.tol)
         payload["residuals"] = rows
         lines.append(f"  residual: max {worst:.3e} over {len(rows)} pairings")
-        if worst > spec.tol:
-            code = 3
     return code, lines, payload
 
 
@@ -473,20 +479,14 @@ def _cmd_verify(spec: ProblemSpec):
         cases = [_require_series(spec)]
     else:
         cases = _default_verify_cases()
-    all_rows = []
-    worst = 0.0
-    for pf in cases:
-        rows, w = _residual_grid(pf, spec.tol)
-        all_rows.extend(rows)
-        worst = max(worst, w)
+    rows, worst, code = _residual_grid(cases, spec.tol)
     lines = [f"{'s':>4} {'ell':>4} {'alpha':>6} {'poly':>5} {'residual':>12}"]
-    for row in all_rows:
+    for row in rows:
         lines.append(
             f"{row['s']:>4} {row['ell']:>4} {row['alpha']:>6} {row['poly']:>5} {row['residual']:>12.3e}"
         )
-    lines.append(f"max residual {worst:.3e} over {len(all_rows)} pairings (tol {spec.tol:g})")
-    code = 3 if worst > spec.tol else 0
-    return code, lines, {"residuals": all_rows, "max_residual": worst, "tol": spec.tol}
+    lines.append(f"max residual {worst:.3e} over {len(rows)} pairings (tol {spec.tol:g})")
+    return code, lines, {"residuals": rows, "max_residual": worst, "tol": spec.tol}
 
 
 _COMMANDS = {
@@ -503,17 +503,17 @@ def run(command: str, spec: ProblemSpec):
     if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     code, lines, payload = _COMMANDS[command](spec)
+    verdict = payload["verdicts"][0] if "verdicts" in payload else None
+    # Keys present in the payload keep their place here and take its value.
     doc = {
         "command": command,
-        "pf_part": payload.get("pf_part"),
-        "delta_terms": payload.get("delta_terms", []),
-        "verdict": payload.get("verdicts", [None])[0] if "verdicts" in payload else None,
-        "citations": [],
-        "residuals": payload.get("residuals", []),
+        "pf_part": None,
+        "delta_terms": [],
+        "verdict": verdict,
+        "citations": verdict["citations"] if verdict else [],
+        "residuals": [],
+        **payload,
     }
-    if doc["verdict"]:
-        doc["citations"] = doc["verdict"]["citations"]
-    doc.update(payload)
     return code, "\n".join(lines), doc
 
 
@@ -550,6 +550,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.json_path and not Path(args.json_path).parent.is_dir():
+            raise OSError(f"--json: directory of {args.json_path!r} does not exist")
         config = {}
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:

@@ -39,9 +39,6 @@ __all__ = [
     "chi",
 ]
 
-RationalLike = "int | Fraction"
-
-
 def _double_factorial(n: int) -> int:
     """n!! with the empty-product conventions (-1)!! = 0!! = 1."""
     out = 1
@@ -118,13 +115,6 @@ class ExactScalar:
     @property
     def is_single_term(self) -> bool:
         return len(self.terms) == 1
-
-    def rational_at(self, half_power: int) -> Fraction:
-        """Coefficient of pi^(half_power/2), zero if absent."""
-        for h, q in self.terms:
-            if h == half_power:
-                return q
-        return Fraction(0)
 
     def as_single_term(self) -> tuple[int, Fraction]:
         if len(self.terms) != 1:

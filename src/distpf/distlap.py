@@ -24,9 +24,9 @@ parallel without coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import radial
 from .coeffs import ExactScalar, coeff_B, coeff_C
 from .pseudofunction import (
     AngularLabel,
@@ -36,10 +36,9 @@ from .pseudofunction import (
     PseudoFunction,
     RadialSeries,
 )
+from .radial import PhysicalUnits, PotentialModel
 
 __all__ = [
-    "PotentialModel",
-    "PhysicalUnits",
     "NotRadialSolution",
     "laplacian_power",
     "q_s",
@@ -48,58 +47,11 @@ __all__ = [
     "radial_operator",
     "hamiltonian_apply",
     "fold_y00",
+    "delta_source",
 ]
 
 # 1/sqrt(4*pi) as an exact scalar: the l = 0 harmonic normalisation constant.
 Y00 = ExactScalar.pi_term(Fraction(1, 2), -1)
-
-
-@dataclass(frozen=True)
-class PotentialModel:
-    """Central potential v_(-1)/r + v_0 + v_1 r + ... (no stronger singularity).
-
-    Coefficients are exact rationals or floats, never mixed.
-    """
-
-    v_minus1: object = Fraction(0)
-    v: tuple = ()
-
-    def __post_init__(self):
-        vals = (self.v_minus1, *self.v)
-        if any(isinstance(x, float) for x in vals):
-            object.__setattr__(self, "v_minus1", float(self.v_minus1))
-            object.__setattr__(self, "v", tuple(float(x) for x in self.v))
-        else:
-            object.__setattr__(self, "v_minus1", Fraction(self.v_minus1))
-            object.__setattr__(self, "v", tuple(Fraction(x) for x in self.v))
-
-    @staticmethod
-    def zero() -> "PotentialModel":
-        return PotentialModel()
-
-    @staticmethod
-    def coulomb(strength) -> "PotentialModel":
-        return PotentialModel(v_minus1=strength)
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.v_minus1, Fraction)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.v_minus1 == 0 and all(c == 0 for c in self.v)
-
-
-@dataclass(frozen=True)
-class PhysicalUnits:
-    """The scale hbar^2/2m in front of the kinetic term; exact and positive."""
-
-    hbar2_over_2m: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        object.__setattr__(self, "hbar2_over_2m", Fraction(self.hbar2_over_2m))
-        if self.hbar2_over_2m <= 0:
-            raise ValueError("hbar^2/2m must be positive")
 
 
 class NotRadialSolution(Exception):
@@ -153,7 +105,7 @@ def q_s(series: RadialSeries) -> DeltaSum:
     a_0 * coeff_C(0) * delta.  Terms whose index k has the same parity as
     s never contribute (their iteration order would be half-integral).
     """
-    return _delta_sum(series.s, series.coeffs, 0, 0)
+    return q_sl(PseudoFunction(series, AngularLabel(0, 0)))
 
 
 def q_sl(pf: PseudoFunction) -> DeltaSum:
@@ -173,11 +125,8 @@ def laplacian_power(s, ell: int, mu: int) -> DistributionExpr:
     delta term coeff_B * coeff_C * r^ell Y_ell^mu lap^p(delta) appears
     exactly when p = -(s+1-ell)/2 is a nonnegative integer with 2p >= ell.
     """
-    label = AngularLabel(ell, mu)
-    c = s * (s + 1) - ell * (ell + 1)
-    pf_part = PseudoFunction(RadialSeries.make(s - 2, (c,)), label)
     one = 1.0 if isinstance(s, float) else 1
-    return DistributionExpr(pf_part, _delta_sum(s, (one,), ell, mu))
+    return laplacian(PseudoFunction(RadialSeries(s, (one,)), AngularLabel(ell, mu)))
 
 
 def laplacian(pf: PseudoFunction) -> DistributionExpr:
@@ -203,10 +152,7 @@ def radial_operator(series: RadialSeries) -> DistributionExpr:
     the second derivative of u over r together with the point source
     coeff_C(0) * a_0 * delta.
     """
-    s = series.s
-    out = [(s + k) * (s + k + 1) * a for k, a in enumerate(series.coeffs)]
-    pf_part = PseudoFunction(RadialSeries.make(s - 2, out), AngularLabel(0, 0))
-    return DistributionExpr(pf_part, q_s(series))
+    return laplacian(PseudoFunction(series, AngularLabel(0, 0)))
 
 
 def fold_y00(delta: DeltaSum) -> DeltaSum:
@@ -223,6 +169,15 @@ def fold_y00(delta: DeltaSum) -> DeltaSum:
             for t in delta.terms
         )
     )
+
+
+def delta_source(pf: PseudoFunction, units: PhysicalUnits) -> DeltaSum:
+    """The physical source  -(hbar^2/2m) * q_sl(pf), l = 0 normalisation folded in.
+
+    This is the delta part of H Pf for a series solving the radial
+    equation, and the right-hand-side source a classified state carries.
+    """
+    return fold_y00(q_sl(pf)).scaled(ExactScalar.rational(-units.hbar2_over_2m))
 
 
 def hamiltonian_apply(
@@ -244,23 +199,17 @@ def hamiltonian_apply(
     lenient mode (the default) returns the honest function-sense series,
     which carries the residual on top of E * Pf at the shifted exponent.
     """
-    from .radial import radial_residuals
-
-    kappa = units.hbar2_over_2m
-    resid = radial_residuals(V, pf.angular.ell, E, units, pf.radial)
+    resid = radial.radial_residuals(V, pf.angular.ell, E, units, pf.radial)
     bad = [m for m, r in enumerate(resid) if r != 0]
     if bad and strict:
         raise NotRadialSolution(bad)
 
-    delta = fold_y00(q_sl(pf)).scaled(ExactScalar.rational(-kappa))
+    delta = delta_source(pf, units)
 
     rad = pf.radial
     if not bad:
         pf_part = PseudoFunction(rad.scaled(E), pf.angular)
     else:
-        coeffs = list(resid)
-        for m in range(len(coeffs)):
-            if m >= 2:
-                coeffs[m] = coeffs[m] + E * rad.coeffs[m - 2]
+        coeffs = resid[:2] + [r + E * a for r, a in zip(resid[2:], rad.coeffs)]
         pf_part = PseudoFunction(RadialSeries.make(rad.s - 2, coeffs), pf.angular)
     return DistributionExpr(pf_part, delta)

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 from scipy.integrate import quad
 
-from .coeffs import ExactScalar
+from .coeffs import ExactScalar, _double_factorial
 from .distlap import laplacian
 from .pseudofunction import DeltaTerm, PseudoFunction
 
@@ -175,14 +175,6 @@ def testfn_laplacian(phi: TestFunction) -> TestFunction:
 # ---------------------------------------------------------------------
 # Exact sphere moments
 # ---------------------------------------------------------------------
-
-
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -80,10 +80,6 @@ class RadialSeries:
         return RadialSeries(s, tuple(Fraction(a) for a in coeffs))
 
     @staticmethod
-    def floats(s, coeffs) -> "RadialSeries":
-        return RadialSeries(s, tuple(float(a) for a in coeffs))
-
-    @staticmethod
     def zero() -> "RadialSeries":
         return RadialSeries(0, ())
 

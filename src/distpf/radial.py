@@ -19,6 +19,9 @@ resonant order the right-hand side either vanishes (the free parameter is
 set to zero, yielding a canonical representative of the singular branch)
 or it does not, in which case no pure power series exists and the solver
 raises ``LogObstruction``.
+
+The problem data live here too: ``PotentialModel`` for V(r) and
+``PhysicalUnits`` for kappa.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distlap import PhysicalUnits, PotentialModel
 from .pseudofunction import RadialSeries
 
 __all__ = [
+    "PotentialModel",
+    "PhysicalUnits",
     "LogObstruction",
     "FreeParameterSetToZero",
     "FrobeniusResult",
@@ -38,6 +42,54 @@ __all__ = [
     "radial_residuals",
     "normalizable_at_origin",
 ]
+
+
+@dataclass(frozen=True)
+class PotentialModel:
+    """Central potential v_(-1)/r + v_0 + v_1 r + ... (no stronger singularity).
+
+    Coefficients are exact rationals or floats, never mixed.
+    """
+
+    v_minus1: object = Fraction(0)
+    v: tuple = ()
+
+    def __post_init__(self):
+        vals = (self.v_minus1, *self.v)
+        if any(isinstance(x, float) for x in vals):
+            object.__setattr__(self, "v_minus1", float(self.v_minus1))
+            object.__setattr__(self, "v", tuple(float(x) for x in self.v))
+        else:
+            object.__setattr__(self, "v_minus1", Fraction(self.v_minus1))
+            object.__setattr__(self, "v", tuple(Fraction(x) for x in self.v))
+
+    @staticmethod
+    def zero() -> "PotentialModel":
+        return PotentialModel()
+
+    @staticmethod
+    def coulomb(strength) -> "PotentialModel":
+        return PotentialModel(v_minus1=strength)
+
+    @property
+    def is_exact(self) -> bool:
+        return isinstance(self.v_minus1, Fraction)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.v_minus1 == 0 and all(c == 0 for c in self.v)
+
+
+@dataclass(frozen=True)
+class PhysicalUnits:
+    """The scale hbar^2/2m in front of the kinetic term; exact and positive."""
+
+    hbar2_over_2m: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        object.__setattr__(self, "hbar2_over_2m", Fraction(self.hbar2_over_2m))
+        if self.hbar2_over_2m <= 0:
+            raise ValueError("hbar^2/2m must be positive")
 
 
 class LogObstruction(Exception):
@@ -79,6 +131,27 @@ def normalizable_at_origin(s) -> bool:
     return s > Fraction(-3, 2)
 
 
+def _indicial(m: int, s, ell: int):
+    """D(m) = (m+s+1)(m+s) - ell(ell+1), the factor of a_m in recurrence row m."""
+    return (m + s + 1) * (m + s) - ell * (ell + 1)
+
+
+def _row_sum(vm1, v0_minus_e, vpoly, a, m: int, acc=None):
+    """acc plus the right-hand side of recurrence row m, added left to right.
+
+    Without acc the sum starts at its first term (a -0.0 row stays -0.0);
+    row 0 has no terms and returns acc.
+    """
+    if m == 0:
+        return acc
+    acc = vm1 * a[m - 1] if acc is None else acc + vm1 * a[m - 1]
+    if m >= 2:
+        acc = acc + v0_minus_e * a[m - 2]
+        for j in range(1, min(len(vpoly), m - 1)):
+            acc = acc + vpoly[j] * a[m - 2 - j]
+    return acc
+
+
 def frobenius(
     V: PotentialModel,
     ell: int,
@@ -100,33 +173,22 @@ def frobenius(
     if N < 1:
         raise ValueError(f"truncation order must be at least 1, got {N}")
 
-    kappa = units.hbar2_over_2m
-    exact = V.is_exact and not isinstance(E, float)
-    if exact:
-        vm1 = Fraction(V.v_minus1) / kappa
-        vpoly = [Fraction(c) / kappa for c in V.v]
-        Et = Fraction(E) / kappa
-        a = [Fraction(1)]
-    else:
-        vm1 = float(V.v_minus1) / float(kappa)
-        vpoly = [float(c) / float(kappa) for c in V.v]
-        Et = float(E) / float(kappa)
-        a = [1.0]
+    num = Fraction if V.is_exact and not isinstance(E, float) else float
+    kappa = num(units.hbar2_over_2m)
+    vm1 = num(V.v_minus1) / kappa
+    vpoly = [num(c) / kappa for c in V.v]
+    Et = num(E) / kappa
+    a = [num(1)]
 
     s = root
+    v0_minus_e = (vpoly[0] if vpoly else 0) - Et
     resonance = None
     for k in range(1, N + 1):
-        rhs = vm1 * a[k - 1] if k >= 1 else 0
-        if k >= 2:
-            v0 = vpoly[0] if vpoly else 0
-            rhs = rhs + (v0 - Et) * a[k - 2]
-            for j in range(1, len(vpoly)):
-                if k - 2 - j >= 0:
-                    rhs = rhs + vpoly[j] * a[k - 2 - j]
-        D = (k + s + 1) * (k + s) - ell * (ell + 1)
+        rhs = _row_sum(vm1, v0_minus_e, vpoly, a, k)
+        D = _indicial(k, s, ell)
         if D == 0:
             if rhs == 0:
-                a.append(Fraction(0) if exact else 0.0)
+                a.append(num(0))
                 resonance = FreeParameterSetToZero(k)
             else:
                 raise LogObstruction(k)
@@ -156,17 +218,8 @@ def radial_residuals(
     """
     kappa = units.hbar2_over_2m
     s, a = series.s, series.coeffs
-    v0 = V.v[0] if V.v else 0
-    out = []
-    for m in range(len(a)):
-        D = (m + s + 1) * (m + s) - ell * (ell + 1)
-        val = -kappa * D * a[m]
-        if m >= 1:
-            val = val + V.v_minus1 * a[m - 1]
-        if m >= 2:
-            val = val + (v0 - E) * a[m - 2]
-            for j in range(1, len(V.v)):
-                if m - 2 - j >= 0:
-                    val = val + V.v[j] * a[m - 2 - j]
-        out.append(val)
-    return out
+    v0_minus_e = (V.v[0] if V.v else 0) - E
+    return [
+        _row_sum(V.v_minus1, v0_minus_e, V.v, a, m, -kappa * _indicial(m, s, ell) * a[m])
+        for m in range(len(a))
+    ]

@@ -210,6 +210,30 @@ class TestMain:
             main(["classify", "--root", "sideways"])
         assert err.value.code == 1
 
+    def test_verify_nan_tolerance_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("s = -1\ncoeffs = 1\n")
+        assert main(["verify", "--config", str(cfg), "--tol", "nan"]) == 3
+
+    def test_laplacian_verify_nan_coefficient_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("s = -1\ncoeffs = 1, nan\nmode = float\n")
+        assert main(["laplacian", "--config", str(cfg), "--verify"]) == 3
+        assert "residual: max nan" in capsys.readouterr().out
+
+    def test_zero_denominator_hbar_exit_1(self, capsys):
+        assert main(["classify", "--hbar2-over-2m", "1/0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("distpf: config error: field hbar2_over_2m")
+        assert err.count("\n") == 1
+
+    def test_missing_json_directory_exit_1(self, tmp_path, capsys):
+        out_json = tmp_path / "missing" / "doc.json"
+        assert main(["classify", "--json", str(out_json)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("distpf: ") and captured.err.count("\n") == 1
+
     def test_verify_default_grid(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out

@@ -1,0 +1,140 @@
+"""Golden outputs: reports, --json bytes and exit codes, byte for byte.
+
+Each CLI case runs ``distpf.cli.main`` in-process on a config file and
+flags, and the captured stdout, exit code and ``--json`` document must
+equal the stored ones exactly.  Two Python-level cases pin the repr of
+float ``radial_residuals`` and of a lenient ``hamiltonian_apply`` result,
+which fixes the order in which float terms are summed.
+
+The stored data lives in ``tests/golden/``.  After an intended output
+change, regenerate it with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+from distpf import (
+    AngularLabel,
+    PhysicalUnits,
+    PotentialModel,
+    PseudoFunction,
+    RadialSeries,
+    frobenius,
+    from_u,
+    hamiltonian_apply,
+    radial_residuals,
+)
+from distpf.cli import main
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+EVEN_V = "v[0] = 1/3\nv[2] = 1/5\nenergy = -1/4\nhbar2_over_2m = 1/2\n"
+EVEN_V_FLOAT = "v[0] = 0.3\nv[2] = 0.2\nenergy = -0.25\nhbar2_over_2m = 1/2\n"
+COULOMB = "v[-1] = -2\nv[0] = 3/10\nv[1] = 7/10\nenergy = -1\nhbar2_over_2m = 3/2\n"
+COULOMB_FLOAT = "v[-1] = -2\nv[0] = 0.3\nv[1] = 0.7\nenergy = -1\nhbar2_over_2m = 3/2\n"
+
+# name -> (config text, argv after the subcommand's config/json flags)
+CLI_CASES = {
+    "coeffs_ell2": ("", ["coeffs", "--order", "6", "--ell", "2"]),
+    "solve_coulomb_regular": (COULOMB, ["solve", "--order", "8", "--ell", "1"]),
+    "solve_coulomb_float_ell1": (
+        COULOMB_FLOAT,
+        ["solve", "--order", "8", "--ell", "1", "--mode", "float"],
+    ),
+    "solve_even_both_ell2": (EVEN_V, ["solve", "--order", "9", "--ell", "2", "--root", "both"]),
+    "solve_log_obstruction": (COULOMB, ["solve", "--order", "6", "--root", "both"]),
+    "solve_free_float_both": (
+        "",
+        ["solve", "--mode", "float", "--energy", "2", "--root", "both"],
+    ),
+    "classify_log_obstruction": (COULOMB, ["classify", "--order", "6", "--root", "both"]),
+    "classify_coulomb_float_regular": (
+        COULOMB_FLOAT,
+        ["classify", "--order", "7", "--ell", "2", "--mode", "float"],
+    ),
+    "laplacian_verify_exact": (
+        "s = -4\ncoeffs = 1, 1, 2, 0, -3\nell = 1\nmu = -1\n",
+        ["laplacian", "--verify"],
+    ),
+    "laplacian_verify_float": (
+        "s = -3\ncoeffs = 1.5, 0.25, -1, 0.125\nell = 0\nmu = 0\nmode = float\n",
+        ["laplacian", "--verify"],
+    ),
+    "verify_default": ("", ["verify"]),
+}
+for _ell in range(4):
+    for _mode in ("exact", "float"):
+        CLI_CASES[f"classify_even_ell{_ell}_{_mode}"] = (
+            EVEN_V if _mode == "exact" else EVEN_V_FLOAT,
+            ["classify", "--order", "8", "--ell", str(_ell), "--mu", str(-_ell),
+             "--root", "both", "--mode", _mode],
+        )
+
+
+def run_cli_case(config: str, argv: list) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "case.cfg"
+        cfg.write_text(config)
+        out_json = pathlib.Path(tmp) / "out.json"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([*argv, "--config", str(cfg), "--json", str(out_json)])
+        return {
+            "exit_code": code,
+            "stdout": stdout.getvalue(),
+            "json": out_json.read_text() if out_json.exists() else None,
+        }
+
+
+def _float_state():
+    V = PotentialModel(-2.0, (0.3, 0.7))
+    units = PhysicalUnits("3/2")
+    u = frobenius(V, 1, -0.5, 1, 12, units).series
+    return V, units, from_u(u, AngularLabel(1, 0))
+
+
+def python_cases() -> dict:
+    V, units, pf = _float_state()
+    coeffs = list(pf.radial.coeffs)
+    coeffs[3] += 1e-3
+    coeffs[7] -= 2.5e-2
+    perturbed = PseudoFunction(RadialSeries(pf.radial.s, tuple(coeffs)), pf.angular)
+    return {
+        "radial_residuals_float": repr(radial_residuals(V, 1, -0.5, units, pf.radial)),
+        "radial_residuals_float_perturbed": repr(
+            radial_residuals(V, 1, -0.5, units, perturbed.radial)
+        ),
+        "hamiltonian_apply_lenient_float": repr(hamiltonian_apply(perturbed, V, -0.5, units)),
+    }
+
+
+def _load(name: str):
+    return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_golden(name):
+    assert run_cli_case(*CLI_CASES[name]) == _load(name)
+
+
+def test_python_golden():
+    assert python_cases() == _load("python_reprs")
+
+
+def _regenerate():
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    docs = {name: run_cli_case(*case) for name, case in CLI_CASES.items()}
+    docs["python_reprs"] = python_cases()
+    for name, doc in docs.items():
+        (GOLDEN_DIR / f"{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    _regenerate()

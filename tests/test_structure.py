@@ -1,0 +1,45 @@
+"""Module structure of distpf: an acyclic import graph, imports at top level only."""
+
+import ast
+import graphlib
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "distpf"
+
+
+def _trees() -> dict:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _relative_imports(tree) -> set:
+    """Names of the sibling modules a module imports anywhere in its body."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_relative_imports_form_no_cycle():
+    trees = _trees()
+    graph = {name: _relative_imports(tree) & trees.keys() for name, tree in trees.items()}
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        raise AssertionError(f"import cycle: {exc.args[1]}") from None
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for name, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{name}.py:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == []
