@@ -6,7 +6,7 @@ Every claim the symbolic layer makes is an identity between
 distributions, so it can be checked by pairing both sides with test
 functions.  The pairing machinery reduces to exact sphere moments times
 radial finite-part integrals; this script exercises the integrals, their
-independent quadrature cross-check, and the headline pairing identity.
+independent closed-form check, and the headline pairing identity.
 """
 
 import math
@@ -19,7 +19,7 @@ from distpf import (
     PseudoFunction,
     RadialSeries,
     TestFunction,
-    finite_part_by_quadrature,
+    finite_part_closed_form,
     finite_part_integral,
     pair_pseudofunction,
     testfn_laplacian,
@@ -29,10 +29,10 @@ from distpf import (
 # Finite-part integrals F(m, alpha) = Fp int r^m exp(-alpha r^2) dr.
 # Convergent for m > -1; the finite part takes over below, with a log
 # channel at m = -1 that brings in the Euler-Mascheroni constant.
-print("m     F(m, 1)          quadrature check")
+print("m     F(m, 1)          closed-form check")
 for m in range(3, -6, -1):
     a = finite_part_integral(m, 1)
-    b = finite_part_by_quadrature(m, 1)
+    b = finite_part_closed_form(m, 1)
     print(f"{m:>3}   {a:>13.10f}    {abs(a - b):.1e}")
 print(f"      (F(-1,1) = -gamma/2 = {-EULER_GAMMA / 2:.10f})")
 

@@ -53,7 +53,7 @@ from .oracle import (
     TestFunction,
     UnsupportedEll,
     angular_moment,
-    finite_part_by_quadrature,
+    finite_part_closed_form,
     finite_part_integral,
     pair_delta,
     pair_pseudofunction,
@@ -105,7 +105,7 @@ __all__ = [
     "TestFunction",
     "UnsupportedEll",
     "angular_moment",
-    "finite_part_by_quadrature",
+    "finite_part_closed_form",
     "finite_part_integral",
     "pair_delta",
     "pair_pseudofunction",

@@ -552,6 +552,8 @@ def main(argv=None) -> int:
     try:
         if args.json_path and not Path(args.json_path).parent.is_dir():
             raise OSError(f"--json: directory of {args.json_path!r} does not exist")
+        if args.json_path and Path(args.json_path).is_dir():
+            raise OSError(f"--json: {args.json_path!r} is a directory")
         config = {}
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:

@@ -24,6 +24,7 @@ parallel without coordination.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import radial
@@ -77,8 +78,9 @@ def _delta_sum(s, coeffs, ell: int, mu: int) -> DeltaSum:
     """Delta corrections of the Laplacian across r^s * series * (deg-ell label).
 
     Float coefficients are lifted to their exact binary rationals so the
-    resulting weights stay in the exact scalar ring; a non-integral
-    exponent has no singular rungs and yields the empty sum.
+    resulting weights stay in the exact scalar ring; a non-finite one on a
+    singular rung has no such lift and raises ``ValueError``.  A
+    non-integral exponent has no singular rungs and yields the empty sum.
     """
     s_int = _integral_exponent(s)
     if s_int is None:
@@ -93,6 +95,8 @@ def _delta_sum(s, coeffs, ell: int, mu: int) -> DeltaSum:
         p = -t // 2
         if 2 * p < ell:
             continue
+        if isinstance(a, float) and not math.isfinite(a):
+            raise ValueError(f"coefficient a_{k} = {a} on a singular rung has no exact weight")
         weight = Fraction(a) * coeff_B(ell, p) * coeff_C(p)
         terms.append(DeltaTerm(weight, ell, mu, p))
     return DeltaSum.build(terms)

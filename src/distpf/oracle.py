@@ -9,8 +9,8 @@ and whose pairings reduce to
 
 both of which are computed here: the sphere moments exactly, the radial
 integrals  Fp int_0^inf r^m exp(-alpha r^2) dr  as floats through a
-closed-form downward recurrence (with an independent quadrature
-cross-check available for validation).
+downward recurrence (with the independent closed form in Gamma values
+and harmonic numbers available as a reference).
 
 The headline check is ``verify_laplacian_identity``: for a pseudofunction
 f and test function phi it compares  <f, lap(phi)>  against the pairing of
@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy.integrate import quad
-
 from .coeffs import ExactScalar, _double_factorial
 from .distlap import laplacian
 from .pseudofunction import DeltaTerm, PseudoFunction
@@ -49,7 +47,7 @@ __all__ = [
     "testfn_laplacian",
     "angular_moment",
     "finite_part_integral",
-    "finite_part_by_quadrature",
+    "finite_part_closed_form",
     "pair_pseudofunction",
     "pair_delta",
     "verify_laplacian_identity",
@@ -199,17 +197,26 @@ def angular_moment(a: int, b: int, c: int) -> ExactScalar:
 
 @lru_cache(maxsize=None)
 def _finite_part(m: int, alpha: Fraction) -> float:
+    af = float(alpha)
     if m > -1:
-        return 0.5 * float(alpha) ** (-(m + 1) / 2) * math.gamma((m + 1) / 2)
-    if m == -1:
-        return -(EULER_GAMMA + math.log(alpha)) / 2
-    # Downward recurrence from integration by parts, keeping the finite
-    # part of the boundary term at the origin (nonzero only for odd m).
-    b = 0.0
-    if m % 2:
-        j = (-m - 1) // 2
-        b = -((-float(alpha)) ** j) / ((m + 1) * math.factorial(j))
-    return 2 * float(alpha) / (m + 1) * _finite_part(m + 2, alpha) + b
+        return 0.5 * af ** (-(m + 1) / 2) * math.gamma((m + 1) / 2)
+    # Downward recurrence F(n) = 2a/(n+1) F(n+2) + b(n) from integration by
+    # parts, run as a loop from F(-1) or F(0).  The boundary term at the
+    # origin, b(n) = -(-a)^j / ((n+1) j!) with n = -2j-1, is nonzero only for
+    # odd n; it is kept as the exact ratio num/den and rounded once, so deep
+    # rungs neither overflow nor lose the term.
+    odd = m % 2
+    value = -(EULER_GAMMA + math.log(alpha)) / 2 if odd else 0.5 * af**-0.5 * math.gamma(0.5)
+    num, den = 1, 1  # (-a)^j / j!
+    for n in range(-3 if odd else -2, m - 1, -2):
+        b = 0.0
+        if odd:
+            j = (-n - 1) // 2
+            num *= -alpha.numerator
+            den *= alpha.denominator * j
+            b = -num / (den * (n + 1))
+        value = 2 * af / (n + 1) * value + b
+    return value
 
 
 def finite_part_integral(m: int, alpha) -> float:
@@ -223,49 +230,28 @@ def finite_part_integral(m: int, alpha) -> float:
     return _finite_part(int(m), Fraction(alpha))
 
 
-def finite_part_by_quadrature(m: int, alpha, split: float = 1.0) -> float:
-    """Independent evaluation of the same finite part by adaptive quadrature.
+def finite_part_closed_form(m: int, alpha) -> float:
+    """The same finite part from its closed form, as a reference for the recurrence.
 
-    Subtracts enough of the Gaussian's Taylor expansion on [0, split] to
-    make the integrand regular, integrates the remainder numerically, adds
-    back the subtracted pieces through their known finite parts, and
-    appends the convergent tail.  Shares no code path with
-    ``finite_part_integral``.
+    F(m, alpha) = Gamma((m+1)/2) alpha^(-(m+1)/2) / 2, continued analytically
+    to negative even m; at the poles m = -2j-1 the finite part is
+    (-alpha)^j / (2 j!) (H_j - gamma - log alpha), H_j the j-th harmonic
+    number (Gel'fand-Shilov vol. 1, section I.3).  The Gamma values are
+    exact rationals (times sqrt(pi) at even m), each rounded once, so deep
+    rungs do not overflow.  Shares no code path with ``finite_part_integral``.
     """
-    m = int(m)
-    af = float(alpha)
-    terms = max(0, -(m // 2)) + 1  # enough Taylor terms to regularise r^m
-    coefs = [(-af) ** j / math.factorial(j) for j in range(terms)]
-
-    def remainder(r: float) -> float:
-        # r^m times the Taylor tail of the Gaussian, summed directly so no
-        # cancellation occurs where r^m is huge.
-        acc = 0.0
-        term = (-af) ** terms / math.factorial(terms) * r ** (m + 2 * terms)
-        t = -af * r * r
-        for i in range(200):
-            acc += term
-            term *= t / (terms + 1 + i)
-            if abs(term) <= 1e-18 * (abs(acc) + 1e-300):
-                break
-        return acc
-
-    total, _ = quad(remainder, 0.0, split, epsabs=1e-13, epsrel=1e-13, limit=200)
-    for j, c in enumerate(coefs):
-        t = m + 2 * j
-        if t == -1:
-            total += c * math.log(split)
-        else:
-            total += c * split ** (t + 1) / (t + 1)
-    tail, _ = quad(
-        lambda r: r**m * math.exp(-af * r * r),
-        split,
-        math.inf,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=200,
-    )
-    return total + tail
+    m, a = int(m), Fraction(alpha)
+    n = (m + 1) // 2
+    if m % 2 == 0:  # Gamma(n + 1/2) / sqrt(pi), with m = 2n
+        k = abs(n)
+        ratio = Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
+        ratio = ratio if n >= 0 else (-1) ** k / ratio
+        return float(ratio / a**n) * math.sqrt(math.pi / a) / 2
+    if n > 0:  # Gamma(n) = (n-1)!, with m = 2n - 1
+        return float(math.factorial(n - 1) / a**n / 2)
+    j = -n
+    harmonic = math.fsum(1 / i for i in range(1, j + 1))
+    return float((-a) ** j / (2 * math.factorial(j))) * (harmonic - EULER_GAMMA - math.log(a))
 
 
 # ---------------------------------------------------------------------

@@ -221,6 +221,16 @@ class TestMain:
         assert main(["laplacian", "--config", str(cfg), "--verify"]) == 3
         assert "residual: max nan" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_coefficient_on_singular_rung_exit_1(self, tmp_path, capsys, value):
+        cfg = tmp_path / "rung.cfg"
+        cfg.write_text(f"s = -1\ncoeffs = {value}\nmode = float\n")
+        assert main(["laplacian", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("distpf: coefficient a_0 = ")
+        assert captured.err.count("\n") == 1
+
     def test_zero_denominator_hbar_exit_1(self, capsys):
         assert main(["classify", "--hbar2-over-2m", "1/0"]) == 1
         err = capsys.readouterr().err
@@ -230,6 +240,12 @@ class TestMain:
     def test_missing_json_directory_exit_1(self, tmp_path, capsys):
         out_json = tmp_path / "missing" / "doc.json"
         assert main(["classify", "--json", str(out_json)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("distpf: ") and captured.err.count("\n") == 1
+
+    def test_json_path_is_directory_exit_1(self, tmp_path, capsys):
+        assert main(["classify", "--json", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("distpf: ") and captured.err.count("\n") == 1

@@ -16,7 +16,7 @@ from distpf import (
     TestFunction,
     UnsupportedEll,
     angular_moment,
-    finite_part_by_quadrature,
+    finite_part_closed_form,
     finite_part_integral,
     pair_delta,
     pair_pseudofunction,
@@ -148,12 +148,23 @@ class TestFinitePartIntegral:
                 rhs = float(alpha) ** (-(m + 1) / 2) * finite_part_integral(m, 1)
                 assert lhs == pytest.approx(rhs, rel=1e-14)
 
-    def test_against_quadrature(self):
-        for m in range(-5, 7):
-            for alpha in (Fraction(1, 2), Fraction(1), Fraction(2)):
+    def test_against_closed_form(self):
+        for m in range(-61, 20):
+            for alpha in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 3)):
                 a = finite_part_integral(m, alpha)
-                b = finite_part_by_quadrature(m, alpha)
-                assert abs(a - b) < 1e-9, (m, alpha, a, b)
+                b = finite_part_closed_form(m, alpha)
+                assert a == pytest.approx(b, rel=1e-13), (m, alpha, a, b)
+
+    @pytest.mark.parametrize("m", [-2000, -2001, -2500, -10001])
+    def test_deep_rungs_neither_recurse_nor_overflow(self, m):
+        assert math.isfinite(finite_part_integral(m, 1))
+
+    @pytest.mark.parametrize("m, alpha", [(-2001, 368), (-2500, 460)])
+    def test_deep_rungs_against_closed_form(self, m, alpha):
+        # alpha chosen so that the value is a normal float, not an underflowed 0
+        expected = finite_part_closed_form(m, alpha)
+        assert abs(expected) > 1e-3
+        assert finite_part_integral(m, alpha) == pytest.approx(expected, rel=1e-10)
 
 
 class TestSolidHarmonics:

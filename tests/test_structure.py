@@ -1,8 +1,9 @@
-"""Module structure of distpf: an acyclic import graph, imports at top level only."""
+"""Module structure of distpf: an acyclic import graph, imports at top level only, stdlib only."""
 
 import ast
 import graphlib
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "distpf"
 
@@ -42,4 +43,22 @@ def test_no_import_inside_a_function():
                     for node in ast.walk(fn)
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
+    assert found == []
+
+
+def test_only_stdlib_imports():
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{name}.py:{module}"
+                for module in modules
+                if module.split(".")[0] not in sys.stdlib_module_names
+            ]
     assert found == []
