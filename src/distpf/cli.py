@@ -108,11 +108,14 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def _parse_number(value: str, mode: str, *, where: str):
+def _parse_number(value: str, mode: str, *, where: str, finite: bool = False):
     try:
-        return float(value) if mode == "float" else Fraction(value)
+        number = float(value) if mode == "float" else Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"field {where}: cannot parse {value!r} as a number") from exc
+    if finite and mode == "float" and not math.isfinite(number):
+        raise ConfigError(f"field {where}: must be finite, got {value!r}")
+    return number
 
 
 def build_spec(config: dict, overrides: dict) -> ProblemSpec:
@@ -136,7 +139,7 @@ def build_spec(config: dict, overrides: dict) -> ProblemSpec:
                 raise ConfigError(f"field {key}: bad potential index") from exc
             if idx < -1:
                 raise ConfigError(f"field {key}: potential may not be more singular than 1/r")
-            val = _parse_number(str(value), mode, where=key)
+            val = _parse_number(str(value), mode, where=key, finite=True)
             if idx == -1:
                 v_minus1 = val
             else:
@@ -150,7 +153,7 @@ def build_spec(config: dict, overrides: dict) -> ProblemSpec:
     if "mu" in merged:
         spec.mu = int(str(merged["mu"]))
     if "energy" in merged:
-        spec.energy = _parse_number(str(merged["energy"]), mode, where="energy")
+        spec.energy = _parse_number(str(merged["energy"]), mode, where="energy", finite=True)
     if "root" in merged:
         root = str(merged["root"])
         if root not in ("regular", "singular", "both"):

@@ -227,7 +227,13 @@ def finite_part_integral(m: int, alpha) -> float:
     and the logarithmic channel at m = -1 subtracts log(cutoff) with no
     scale constant, which fixes  F(-1, alpha) = -(gamma + log alpha)/2.
     """
-    return _finite_part(int(m), Fraction(alpha))
+    try:
+        value = _finite_part(int(m), Fraction(alpha))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"finite part F({m}, {alpha}) overflows float arithmetic")
+    return value
 
 
 def finite_part_closed_form(m: int, alpha) -> float:

@@ -62,7 +62,7 @@ class RadialSeries:
             return
         exact = not any(isinstance(a, float) for a in coeffs)
         if exact:
-            coeffs = tuple(Fraction(a) for a in coeffs)
+            coeffs = tuple(a if type(a) is Fraction else Fraction(a) for a in coeffs)
             if not isinstance(self.s, int):
                 raise ValueError(
                     "exact-mode series require an integer leading exponent"

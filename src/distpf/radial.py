@@ -18,7 +18,9 @@ condition) and, for the lower root only, again at k = 2*ell + 1.  At that
 resonant order the right-hand side either vanishes (the free parameter is
 set to zero, yielding a canonical representative of the singular branch)
 or it does not, in which case no pure power series exists and the solver
-raises ``LogObstruction``.
+raises ``LogObstruction``.  Exact rows run in integers over a common
+denominator (fraction-free, as in Bareiss, Math. Comp. 22, 1968) and
+return reduced ``Fraction``s.
 
 The problem data live here too: ``PotentialModel`` for V(r) and
 ``PhysicalUnits`` for kappa.
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .pseudofunction import RadialSeries
 
@@ -136,20 +140,27 @@ def _indicial(m: int, s, ell: int):
     return (m + s + 1) * (m + s) - ell * (ell + 1)
 
 
-def _row_sum(vm1, v0_minus_e, vpoly, a, m: int, acc=None):
-    """acc plus the right-hand side of recurrence row m, added left to right.
+def _lag_weights(V: PotentialModel, E) -> tuple:
+    """(v_(-1), v_0 - E, v_1, v_2, ...): the weights of a_(m-1), a_(m-2), ... in row m."""
+    return (V.v_minus1, (V.v[0] if V.v else 0) - E, *V.v[1:])
 
-    Without acc the sum starts at its first term (a -0.0 row stays -0.0);
-    row 0 has no terms and returns acc.
+
+def _row_sum(w, a, m: int, acc=None):
+    """acc plus sum_d w[d-1] a_(m-d) over the lags d <= m, added left to right.
+
+    For float rows.  Without acc the sum starts at its first term (a -0.0
+    row stays -0.0); row 0 has no terms and returns acc.
     """
-    if m == 0:
-        return acc
-    acc = vm1 * a[m - 1] if acc is None else acc + vm1 * a[m - 1]
-    if m >= 2:
-        acc = acc + v0_minus_e * a[m - 2]
-        for j in range(1, min(len(vpoly), m - 1)):
-            acc = acc + vpoly[j] * a[m - 2 - j]
+    for d in range(1, min(len(w), m) + 1):
+        acc = w[d - 1] * a[m - d] if acc is None else acc + w[d - 1] * a[m - d]
     return acc
+
+
+def _integer_row(w, kappa: Fraction):
+    """(K, c, L): row m as K D(m) a_m = sum_d c[d-1] a_(m-d), scaled by L to integers."""
+    L = lcm(kappa.denominator, *(x.denominator for x in w))
+    c = [x.numerator * (L // x.denominator) for x in w]
+    return kappa.numerator * (L // kappa.denominator), c, L
 
 
 def frobenius(
@@ -173,30 +184,40 @@ def frobenius(
     if N < 1:
         raise ValueError(f"truncation order must be at least 1, got {N}")
 
-    num = Fraction if V.is_exact and not isinstance(E, float) else float
-    kappa = num(units.hbar2_over_2m)
-    vm1 = num(V.v_minus1) / kappa
-    vpoly = [num(c) / kappa for c in V.v]
-    Et = num(E) / kappa
-    a = [num(1)]
-
-    s = root
-    v0_minus_e = (vpoly[0] if vpoly else 0) - Et
+    exact = V.is_exact and not isinstance(E, float)
+    if exact:
+        # a_k = b_k / Q_k with Q_k = f_1 ... f_k and f_k = K D(k) (1 where
+        # D(k) = 0), so b_k = sum_d c_d b_(k-d) f_(k-d+1) ... f_(k-1).
+        K, c, _ = _integer_row(_lag_weights(V, Fraction(E)), units.hbar2_over_2m)
+        b, f, Q = [1], [1], 1
+    else:
+        kappa = float(units.hbar2_over_2m)
+        vm1, *vpoly = (float(x) / kappa for x in (V.v_minus1, *V.v))
+        w = (vm1, (vpoly[0] if vpoly else 0) - float(E) / kappa, *vpoly[1:])
+    a = [Fraction(1) if exact else 1.0]
     resonance = None
     for k in range(1, N + 1):
-        rhs = _row_sum(vm1, v0_minus_e, vpoly, a, k)
-        D = _indicial(k, s, ell)
-        if D == 0:
-            if rhs == 0:
-                a.append(num(0))
-                resonance = FreeParameterSetToZero(k)
-            else:
-                raise LogObstruction(k)
+        if exact:
+            rhs = 0
+            for d in range(min(len(c), k), 0, -1):
+                rhs = rhs * f[k - d] + c[d - 1] * b[k - d]
         else:
-            a.append(rhs / D)
+            rhs = _row_sum(w, a, k)
+        D = _indicial(k, root, ell)
+        if D == 0:
+            if rhs != 0:
+                raise LogObstruction(k)
+            resonance = FreeParameterSetToZero(k)
+        if exact:
+            f.append(K * D or 1)
+            Q *= f[k]
+            b.append(rhs)
+            a.append(Fraction(rhs, Q))
+        else:
+            a.append(rhs / D if D else 0.0)
 
     return FrobeniusResult(
-        series=RadialSeries(s + 1, tuple(a)),
+        series=RadialSeries(root + 1, tuple(a)),
         root_used=root,
         resonance_report=resonance,
     )
@@ -218,8 +239,18 @@ def radial_residuals(
     """
     kappa = units.hbar2_over_2m
     s, a = series.s, series.coeffs
-    v0_minus_e = (V.v[0] if V.v else 0) - E
+    w = _lag_weights(V, E)
+    if series.is_exact and V.is_exact and not isinstance(E, float):
+        # Over the common denominator L*M, with n_k = a_k M in integers.
+        K, c, L = _integer_row(w, kappa)
+        M = lcm(*(x.denominator for x in a))
+        n = [x.numerator * (M // x.denominator) for x in a]
+        return [
+            Fraction(sum(map(mul, c, reversed(n[:m]))) - K * _indicial(m, s, ell) * n[m], L * M)
+            for m in range(len(n))
+        ]
+    # Float rows: int / int rounds -kappa D(m) once, exactly as float(Fraction) would.
     return [
-        _row_sum(V.v_minus1, v0_minus_e, V.v, a, m, -kappa * _indicial(m, s, ell) * a[m])
+        _row_sum(w, a, m, -(kappa.numerator * _indicial(m, s, ell)) / kappa.denominator * a[m])
         for m in range(len(a))
     ]

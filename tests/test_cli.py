@@ -231,6 +231,34 @@ class TestMain:
         assert captured.err.startswith("distpf: coefficient a_0 = ")
         assert captured.err.count("\n") == 1
 
+    def test_laplacian_verify_out_of_float_range_exit_1(self, tmp_path, capsys):
+        # Pairing r^400 needs F(402, alpha), beyond the float range.
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("s = 400\ncoeffs = 1\n")
+        assert main(["laplacian", "--config", str(cfg), "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("distpf: finite part F(402, ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["energy", "v[-1]", "v[0]", "v[2]"])
+    def test_non_finite_energy_or_potential_exit_1(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(f"{field} = {value}\n")
+        assert main(["classify", "--config", str(cfg), "--mode", "float"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"distpf: config error: field {field}: must be finite, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_energy_flag_exit_1(self, capsys, value):
+        assert main(["classify", f"--energy={value}", "--mode", "float"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("distpf: config error: field energy: must be finite")
+        assert captured.err.count("\n") == 1
+
     def test_zero_denominator_hbar_exit_1(self, capsys):
         assert main(["classify", "--hbar2-over-2m", "1/0"]) == 1
         err = capsys.readouterr().err

@@ -4,7 +4,9 @@ Each CLI case runs ``distpf.cli.main`` in-process on a config file and
 flags, and the captured stdout, exit code and ``--json`` document must
 equal the stored ones exactly.  Two Python-level cases pin the repr of
 float ``radial_residuals`` and of a lenient ``hamiltonian_apply`` result,
-which fixes the order in which float terms are summed.
+which fixes the order in which float terms are summed.  A third pins the
+exact ``frobenius`` series at a deep order, with a resonance on the
+singular root, and the exact ``radial_residuals`` of a perturbed copy.
 
 The stored data lives in ``tests/golden/``.  After an intended output
 change, regenerate it with
@@ -17,6 +19,7 @@ import io
 import json
 import pathlib
 import tempfile
+from fractions import Fraction
 
 import pytest
 
@@ -115,6 +118,39 @@ def python_cases() -> dict:
     }
 
 
+# Coulomb plus a six-term polynomial, ell = 3, singular root, kappa = 3/2.
+# v[5] is the one value that makes the resonant row 2*ell + 1 = 7 vanish,
+# so the series runs through the resonance to order 160.
+DEEP_V = PotentialModel(
+    -2,
+    (
+        Fraction(3, 10), Fraction(7, 10), Fraction(-1, 3), Fraction(2, 5), Fraction(1, 7),
+        Fraction(-712052113, 10333575000),
+    ),
+)
+DEEP_E = Fraction(-5, 4)
+DEEP_UNITS = PhysicalUnits(Fraction(3, 2))
+
+
+def deep_exact_cases() -> dict:
+    result = frobenius(DEEP_V, 3, DEEP_E, -4, 160, DEEP_UNITS)
+    pf = from_u(result.series, AngularLabel(3, 0))
+    coeffs = list(pf.radial.coeffs)
+    coeffs[3] += Fraction(1, 7)
+    coeffs[40] -= Fraction(3, 11)
+    coeffs[160] += 1
+    perturbed = RadialSeries(pf.radial.s, tuple(coeffs))
+    return {
+        "frobenius": repr(result),
+        "radial_residuals_perturbed": repr(
+            radial_residuals(DEEP_V, 3, DEEP_E, DEEP_UNITS, perturbed)
+        ),
+    }
+
+
+PYTHON_CASES = {"python_reprs": python_cases, "frobenius_exact_deep": deep_exact_cases}
+
+
 def _load(name: str):
     return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
 
@@ -128,10 +164,14 @@ def test_python_golden():
     assert python_cases() == _load("python_reprs")
 
 
+def test_deep_exact_golden():
+    assert deep_exact_cases() == _load("frobenius_exact_deep")
+
+
 def _regenerate():
     GOLDEN_DIR.mkdir(exist_ok=True)
     docs = {name: run_cli_case(*case) for name, case in CLI_CASES.items()}
-    docs["python_reprs"] = python_cases()
+    docs.update((name, case()) for name, case in PYTHON_CASES.items())
     for name, doc in docs.items():
         (GOLDEN_DIR / f"{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
 

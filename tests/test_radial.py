@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from distpf import (
     FreeParameterSetToZero,
@@ -108,6 +110,167 @@ class TestFrobenius:
         R = RadialSeries.exact(0, (1, 1))
         res = radial_residuals(PotentialModel.zero(), 0, Fraction(0), PhysicalUnits(), R)
         assert res[0] == 0 and res[1] != 0
+
+
+# -- plain Fraction reference for the exact recurrence -------------------
+
+
+def _reference_rhs(V, E, kappa, a, m):
+    """Right-hand side of row m in Fractions, divided by kappa, term by term."""
+    vm1 = V.v_minus1 / kappa
+    vpoly = [c / kappa for c in V.v]
+    v0_minus_e = (vpoly[0] if vpoly else 0) - Fraction(E) / kappa
+    acc = vm1 * a[m - 1]
+    if m >= 2:
+        acc += v0_minus_e * a[m - 2]
+        for j in range(1, min(len(vpoly), m - 1)):
+            acc += vpoly[j] * a[m - 2 - j]
+    return acc
+
+
+def reference_frobenius(V, ell, E, root, N, kappa):
+    """(coefficients, resonant order or None, obstruction order or None)."""
+    a, resonance = [Fraction(1)], None
+    for k in range(1, N + 1):
+        rhs = _reference_rhs(V, E, kappa, a, k)
+        D = (k + root + 1) * (k + root) - ell * (ell + 1)
+        if D == 0:
+            if rhs != 0:
+                return a, resonance, k
+            a.append(Fraction(0))
+            resonance = k
+        else:
+            a.append(rhs / D)
+    return a, resonance, None
+
+
+def reference_residuals(V, ell, E, kappa, s, a):
+    rows = []
+    for m in range(len(a)):
+        row = -kappa * ((m + s + 1) * (m + s) - ell * (ell + 1)) * a[m]
+        rows.append(row + kappa * _reference_rhs(V, E, kappa, a, m) if m else row)
+    return rows
+
+
+rationals = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9),
+)
+kappas = st.one_of(
+    st.integers(min_value=1, max_value=3),
+    st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7),
+)
+
+
+@st.composite
+def exact_problems(draw, even=False):
+    """(V, ell, E, root, N, kappa) with 0-3 polynomial terms; `even` keeps
+    only v_0 and v_2, so the singular root's resonant row vanishes."""
+    ell = draw(st.integers(min_value=0, max_value=3))
+    if even:
+        V = PotentialModel(0, (draw(rationals), 0, draw(rationals)))
+        root = -(ell + 1)
+    else:
+        V = PotentialModel(draw(rationals), tuple(draw(st.lists(rationals, max_size=3))))
+        root = draw(st.sampled_from(indicial_roots(ell)))
+    kappa = draw(kappas)
+    assume(kappa > 0)
+    return V, ell, draw(rationals), root, draw(st.integers(min_value=1, max_value=60)), kappa
+
+
+class TestIntegerRecurrence:
+    """Exact frobenius and radial_residuals against the plain Fraction recurrence."""
+
+    def _check_frobenius(self, V, ell, E, root, N, kappa):
+        expected, resonance, obstruction = reference_frobenius(
+            V, ell, E, root, N, Fraction(kappa)
+        )
+        units = PhysicalUnits(kappa)
+        if obstruction is not None:
+            with pytest.raises(LogObstruction) as err:
+                frobenius(V, ell, E, root, N, units)
+            assert err.value.order == obstruction
+            return expected
+        res = frobenius(V, ell, E, root, N, units)
+        assert res.series.s == root + 1
+        assert res.series.coeffs == tuple(expected)
+        assert all(type(c) is Fraction for c in res.series.coeffs)
+        expected_report = None if resonance is None else FreeParameterSetToZero(resonance)
+        assert res.resonance_report == expected_report
+        return expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_problems())
+    def test_frobenius_matches_reference(self, problem):
+        self._check_frobenius(*problem)
+
+    @settings(max_examples=50, deadline=None)
+    @given(exact_problems(even=True))
+    def test_resonance_report_matches_reference(self, problem):
+        V, ell, E, root, N, kappa = problem
+        self._check_frobenius(*problem)
+        if N >= 2 * ell + 1:
+            report = frobenius(V, ell, E, root, N, PhysicalUnits(kappa)).resonance_report
+            assert report == FreeParameterSetToZero(2 * ell + 1)
+
+    def test_coulomb_singular_root_obstructs_at_resonance(self):
+        for ell in range(4):
+            V = PotentialModel(-2, (Fraction(1, 3),))
+            self._check_frobenius(V, ell, Fraction(-1, 2), -(ell + 1), 20, Fraction(3, 2))
+            with pytest.raises(LogObstruction) as err:
+                frobenius(V, ell, Fraction(-1, 2), -(ell + 1), 20, PhysicalUnits("3/2"))
+            assert err.value.order == 2 * ell + 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        exact_problems(),
+        st.lists(st.tuples(st.integers(min_value=0, max_value=60), rationals), max_size=3),
+        st.integers(min_value=-5, max_value=4),
+    )
+    def test_residuals_match_reference(self, problem, perturbations, shift):
+        V, ell, E, root, N, kappa = problem
+        a = self._check_frobenius(*problem)
+        for index, delta in perturbations:
+            if index < len(a):
+                a[index] += delta
+        assume(a[0] != 0)
+        # shift != 0 moves the exponent off the indicial roots, so row 0 is nonzero too.
+        s = root + shift
+        got = radial_residuals(V, ell, E, PhysicalUnits(kappa), RadialSeries(s, tuple(a)))
+        assert got == reference_residuals(V, ell, E, Fraction(kappa), s, a)
+        assert all(type(r) is Fraction for r in got)
+
+    @settings(max_examples=50, deadline=None)
+    @given(exact_problems(), st.integers(min_value=1, max_value=60), rationals)
+    def test_single_perturbation_shows_in_its_row(self, problem, index, delta):
+        V, ell, E, root, N, kappa = problem
+        try:
+            a = list(frobenius(V, ell, E, root, N, PhysicalUnits(kappa)).series.coeffs)
+        except LogObstruction:
+            return
+        D = (index + root + 1) * (index + root) - ell * (ell + 1)
+        assume(index < len(a) and delta != 0 and D != 0)
+        a[index] += delta
+        got = radial_residuals(V, ell, E, PhysicalUnits(kappa), RadialSeries(root, tuple(a)))
+        assert all(r == 0 for r in got[:index])
+        assert got[index] == -Fraction(kappa) * D * delta
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact_problems(), st.lists(st.floats(-4, 4), min_size=1, max_size=30))
+    def test_float_residuals_round_like_fraction_kinetic_factor(self, problem, coeffs):
+        # The float kinetic factor must equal float(-kappa * D(m)) bit for bit.
+        V, ell, E, root, _, kappa = problem
+        assume(coeffs[0] != 0)
+        Vf = PotentialModel(float(V.v_minus1), tuple(float(c) for c in V.v))
+        Ef, kappa = float(E), Fraction(kappa)
+        a = tuple(coeffs)
+        got = radial_residuals(Vf, ell, Ef, PhysicalUnits(kappa), RadialSeries(root, a))
+        w = (Vf.v_minus1, (Vf.v[0] if Vf.v else 0) - Ef, *Vf.v[1:])
+        for m, r in enumerate(got):
+            row = -kappa * ((m + root + 1) * (m + root) - ell * (ell + 1)) * a[m]
+            for d in range(1, min(len(w), m) + 1):
+                row = row + w[d - 1] * a[m - d]
+            assert repr(r) == repr(row)
 
 
 class TestNormalizableAtOrigin:
