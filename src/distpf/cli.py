@@ -550,8 +550,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The flags that take one value.  argparse reads a token such as -1/4 or
+# -inf after one of them as an option, not as its value.
+_VALUE_FLAGS = frozenset(
+    "--config --ell --mu --energy --root --order --hbar2-over-2m --mode --tol --json".split()
+)
+
+
+def _glue_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite `--flag -VALUE` as `--flag=-VALUE`, which argparse reads as a value."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_glue_dash_values(argv))
     try:
         if args.json_path and not Path(args.json_path).parent.is_dir():
             raise OSError(f"--json: directory of {args.json_path!r} does not exist")

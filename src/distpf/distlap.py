@@ -86,15 +86,13 @@ def _delta_sum(s, coeffs, ell: int, mu: int) -> DeltaSum:
     if s_int is None:
         return DeltaSum.empty()
     terms = []
-    for k, a in enumerate(coeffs):
+    # The singular rungs are k <= -s-1 with k = ell-s-1 (mod 2); there
+    # 2p = ell - s - 1 - k >= ell holds by construction.
+    for k in range((ell - s_int - 1) % 2, min(len(coeffs), -s_int), 2):
+        a = coeffs[k]
         if a == 0:
             continue
-        t = k + s_int + 1 - ell
-        if t > 0 or t % 2 != 0:
-            continue
-        p = -t // 2
-        if 2 * p < ell:
-            continue
+        p = (ell - s_int - 1 - k) // 2
         if isinstance(a, float) and not math.isfinite(a):
             raise ValueError(f"coefficient a_{k} = {a} on a singular rung has no exact weight")
         weight = Fraction(a) * coeff_B(ell, p) * coeff_C(p)

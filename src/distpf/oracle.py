@@ -12,6 +12,16 @@ integrals  Fp int_0^inf r^m exp(-alpha r^2) dr  as floats through a
 downward recurrence (with the independent closed form in Gamma values
 and harmonic numbers available as a reference).
 
+Iterated deltas pair through Pizzetti's mean-value formula: for a
+homogeneous polynomial H of degree 2p,
+
+    lap^p H = (2p+1)! / (4 pi) * int over the unit sphere of H dOmega
+
+(Courant-Hilbert, *Methods of Mathematical Physics* vol. II, ch. IV), and
+only the degree-2p Taylor part of a smooth function survives in
+lap^p(.)(0).  So  <r^ell Y lap^p delta, phi>  is one sphere moment per
+monomial of core * P, exact in the rationals, with no derivative taken.
+
 The headline check is ``verify_laplacian_identity``: for a pseudofunction
 f and test function phi it compares  <f, lap(phi)>  against the pairing of
 the engine's decomposition lap(f) = Pf-part + delta terms.  By definition
@@ -150,6 +160,7 @@ class TestFunction:
         return Fraction(0)
 
 
+@lru_cache(maxsize=256)
 def testfn_laplacian(phi: TestFunction) -> TestFunction:
     """Exact Laplacian within the class:
 
@@ -199,7 +210,11 @@ def angular_moment(a: int, b: int, c: int) -> ExactScalar:
 def _finite_part(m: int, alpha: Fraction) -> float:
     af = float(alpha)
     if m > -1:
-        return 0.5 * af ** (-(m + 1) / 2) * math.gamma((m + 1) / 2)
+        h = (m + 1) / 2
+        try:
+            return 0.5 * af**-h * math.gamma(h)
+        except OverflowError:  # a factor leaves the float range; the product may not
+            return 0.5 * math.exp(math.lgamma(h) - h * math.log(af))
     # Downward recurrence F(n) = 2a/(n+1) F(n+2) + b(n) from integration by
     # parts, run as a loop from F(-1) or F(0).  The boundary term at the
     # origin, b(n) = -(-a)^j / ((n+1) j!) with n = -2j-1, is nonzero only for
@@ -378,15 +393,26 @@ def pair_pseudofunction(pf: PseudoFunction, phi: TestFunction) -> float:
 def pair_delta(term: DeltaTerm, phi: TestFunction) -> float:
     """<coefficient * r^ell Y lap^p delta, phi> = coefficient * lap^p(Y-core phi)(0).
 
-    Evaluated exactly inside the polynomial-Gaussian algebra; the only
-    float rounding is the final conversion (so pairing a bare delta
-    returns phi(0) to the last bit).
+    By Pizzetti's formula, lap^p at the origin is (2p+1)! / (4 pi) times the
+    sphere integral of the degree-2p Taylor part of core * P * e^{-alpha r^2}.
+    There a monomial x^a y^b z^c of core * P of degree 2p - 2j meets the
+    term (-alpha)^j r^(2j) / j! of the Gaussian, so each monomial costs one
+    sphere moment:
+
+        lap^p(core phi)(0) = (2p+1)! sum c (-alpha)^j / j!
+                             * (a-1)!!(b-1)!!(c-1)!! / (2p-2j+1)!!
+
+    over even a, b, c.  The sum is exact; the only float rounding is the
+    final conversion (so pairing a bare delta returns phi(0) to the last bit).
     """
     q, core = solid_harmonic(term.ell, term.mu)
-    probe = TestFunction.from_poly(_poly_mul(core, phi.poly), phi.alpha)
-    for _ in range(term.p):
-        probe = testfn_laplacian(probe)
-    exact = term.coefficient * probe.value_at_origin()
+    p, alpha = term.p, phi.alpha
+    sphere = Fraction(0)  # the sphere integral of the Taylor part, over pi
+    for (a, b, c), coef in _poly_mul(core, phi.poly).items():
+        j = p - (a + b + c) // 2
+        if j >= 0 and (moment := angular_moment(a, b, c)):
+            sphere += coef * (-alpha) ** j / math.factorial(j) * moment.as_single_term()[1]
+    exact = term.coefficient * (Fraction(math.factorial(2 * p + 1), 4) * sphere)
     return scalar_to_float(exact) * _harmonic_scale(q)
 
 

@@ -16,8 +16,10 @@ from distpf import (
 )
 from distpf.classify import VerdictKind, classify_solution
 from distpf.cli import (
+    _VALUE_FLAGS,
     ConfigError,
     ProblemSpec,
+    _build_parser,
     build_spec,
     main,
     parse_config,
@@ -258,6 +260,38 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("distpf: config error: field energy: must be finite")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "value, mode, code",
+        [("-1/4", "exact", 0), ("-0.25", "exact", 0), ("-0.25", "float", 0), ("-1/4", "float", 1)],
+    )
+    def test_leading_minus_flag_value_reads_as_glued(self, capsys, value, mode, code):
+        assert main(["classify", f"--energy={value}", "--mode", mode, "--order", "4"]) == code
+        glued = capsys.readouterr()
+        assert main(["classify", "--energy", value, "--mode", mode, "--order", "4"]) == code
+        assert capsys.readouterr() == glued
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_leading_minus_inf_flag_value_exit_1(self, capsys, mode):
+        assert main(["classify", "--energy=-inf", "--mode", mode]) == 1
+        glued = capsys.readouterr()
+        assert main(["classify", "--energy", "-inf", "--mode", mode]) == 1
+        spaced = capsys.readouterr()
+        assert spaced == glued
+        assert spaced.out == ""
+        assert spaced.err.startswith("distpf: config error: field energy: ")
+        assert spaced.err.count("\n") == 1
+
+    def test_value_flags_are_the_parsers(self):
+        sub = _build_parser()._subparsers._group_actions[0]
+        for parser in sub.choices.values():
+            takes_value = {
+                flag
+                for action in parser._actions
+                if action.nargs is None
+                for flag in action.option_strings
+            }
+            assert takes_value == _VALUE_FLAGS
 
     def test_zero_denominator_hbar_exit_1(self, capsys):
         assert main(["classify", "--hbar2-over-2m", "1/0"]) == 1

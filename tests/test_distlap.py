@@ -1,9 +1,12 @@
 """The distributional Laplacian engine: delta sums, operators, Hamiltonian."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distpf import (
     AngularLabel,
@@ -27,6 +30,7 @@ from distpf import (
     q_sl,
     radial_operator,
 )
+from distpf.distlap import _delta_sum
 
 PI = ExactScalar.pi_term(1, 2)
 
@@ -165,6 +169,59 @@ class TestQsl:
         # with only a_0 nonzero nothing survives
         assert q_sl(pf_of(-2, (1, 0))).is_empty
         assert not q_sl(pf_of(-2, (1, 1))).is_empty
+
+
+def _delta_sum_reference(s, coeffs, ell, mu):
+    """The rung test on every coefficient, as ``_delta_sum`` once ran it."""
+    if isinstance(s, float) and not s.is_integer():
+        return DeltaSum.empty()
+    s = int(s)
+    terms = []
+    for k, a in enumerate(coeffs):
+        if a == 0:
+            continue
+        t = k + s + 1 - ell
+        if t > 0 or t % 2 != 0:
+            continue
+        p = -t // 2
+        if 2 * p < ell:
+            continue
+        if isinstance(a, float) and not math.isfinite(a):
+            raise ValueError(f"coefficient a_{k} = {a} on a singular rung has no exact weight")
+        terms.append(DeltaTerm(Fraction(a) * coeff_B(ell, p) * coeff_C(p), ell, mu, p))
+    return DeltaSum.build(terms)
+
+
+exact_coeffs = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+float_coeffs = st.one_of(
+    st.sampled_from([0.0, math.inf, -math.inf, math.nan]),
+    st.floats(min_value=-3, max_value=3),
+)
+
+
+class TestDeltaSumRungs:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(min_value=-30, max_value=4),
+            st.integers(min_value=-30, max_value=4).map(float),
+            st.sampled_from([-2.5, 0.5]),
+        ),
+        st.one_of(st.lists(exact_coeffs, max_size=40), st.lists(float_coeffs, max_size=40)),
+        st.integers(min_value=0, max_value=6),
+    )
+    def test_matches_the_every_coefficient_loop(self, s, coeffs, ell):
+        coeffs = tuple(coeffs)
+        try:
+            expected = _delta_sum_reference(s, coeffs, ell, 0)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                _delta_sum(s, coeffs, ell, 0)
+            return
+        assert _delta_sum(s, coeffs, ell, 0) == expected
 
 
 class TestLaplacian:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import random_pf, random_testfn
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distpf import (
     EULER_GAMMA,
@@ -25,7 +27,8 @@ from distpf import (
     testfn_laplacian,
     verify_laplacian_identity,
 )
-from distpf.oracle import _SOLID_TABLE, _poly_laplacian, _poly_mul
+from distpf import oracle
+from distpf.oracle import _SOLID_TABLE, _harmonic_scale, _poly_laplacian, _poly_mul
 
 PI = math.pi
 
@@ -63,6 +66,12 @@ class TestTestFunction:
         assert poly[(1, 2, 0)] == 4
         assert poly[(1, 0, 2)] == 4
         assert len(poly) == 4
+
+    def test_laplacian_is_cached_per_equal_test_function(self):
+        poly = {(0, 0, 0): Fraction(2, 3), (1, 2, 0): -1}
+        first = testfn_laplacian(TestFunction.from_poly(poly, Fraction(5, 3)))
+        again = testfn_laplacian(TestFunction.from_poly(dict(poly), Fraction(5, 3)))
+        assert again is first
 
     def test_laplacian_matches_finite_differences(self):
         # independent check of the closed form by central differences
@@ -159,6 +168,13 @@ class TestFinitePartIntegral:
     def test_deep_rungs_neither_recurse_nor_overflow(self, m):
         assert math.isfinite(finite_part_integral(m, 1))
 
+    @pytest.mark.parametrize("m, alpha", [(400, 1000), (380, 2)])
+    def test_in_range_value_past_the_gamma_overflow(self, m, alpha):
+        # Gamma((m+1)/2) alone overflows a float; F itself does not.
+        assert finite_part_integral(m, alpha) == pytest.approx(
+            finite_part_closed_form(m, alpha), rel=1e-11
+        )
+
     @pytest.mark.parametrize("m, alpha", [(-2001, 368), (-2500, 460)])
     def test_deep_rungs_against_closed_form(self, m, alpha):
         # alpha chosen so that the value is a normal float, not an underflowed 0
@@ -229,7 +245,58 @@ class TestPairings:
             pair_pseudofunction(pf_of(-6, (1,), ell=5, mu=0), TestFunction.gaussian(1))
 
 
+def _pair_delta_iterated(term, phi):
+    """pair_delta by p iterated Laplacians inside the test-function class."""
+    q, core = solid_harmonic(term.ell, term.mu)
+    probe = TestFunction.from_poly(_poly_mul(core, phi.poly), phi.alpha)
+    for _ in range(term.p):
+        probe = testfn_laplacian(probe)
+    exact = term.coefficient * probe.value_at_origin()
+    return scalar_to_float(exact) * _harmonic_scale(q)
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+
+@st.composite
+def delta_pairings(draw):
+    ell = draw(st.integers(min_value=0, max_value=4))
+    mu = draw(st.integers(min_value=-ell, max_value=ell))
+    p = draw(st.integers(min_value=-(-ell // 2), max_value=8))
+    weight = ExactScalar.from_map(
+        {draw(st.integers(min_value=-2, max_value=2)): draw(rationals.filter(bool))}
+    )
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=4)] * 3)
+    if draw(st.booleans()):
+        # Monomials with the parity of the harmonic core make core * P even
+        # in x, y and z, so that the pairing is rarely zero.
+        parity = [e % 2 for e in next(iter(solid_harmonic(ell, mu)[1]))]
+        exponents = exponents.map(lambda mono: tuple(e - e % 2 + q for e, q in zip(mono, parity)))
+    monomials = exponents.filter(lambda mono: sum(mono) <= 4)
+    poly = draw(st.dictionaries(monomials, rationals, min_size=1, max_size=4))
+    alpha = draw(st.fractions(min_value=Fraction(1, 9), max_value=4, max_denominator=9))
+    return DeltaTerm(weight, ell, mu, p), TestFunction.from_poly(poly, alpha)
+
+
 class TestPairDelta:
+    @settings(max_examples=150, deadline=None)
+    @given(delta_pairings())
+    def test_closed_form_equals_iterated_laplacians(self, case):
+        term, phi = case
+        assert pair_delta(term, phi) == _pair_delta_iterated(term, phi)
+
+    def test_never_takes_a_laplacian(self, monkeypatch):
+        phi = TestFunction.from_poly({(0, 0, 0): 1, (2, 0, 2): Fraction(-3, 7)}, Fraction(3, 4))
+        term = DeltaTerm(ExactScalar.one(), 4, 0, 16)
+        expected = _pair_delta_iterated(term, phi)
+        assert expected != 0.0
+
+        def refuse(phi):
+            raise AssertionError("pair_delta took a Laplacian")
+
+        monkeypatch.setattr(oracle, "testfn_laplacian", refuse)
+        assert pair_delta(term, phi) == expected
+
     def test_bare_delta_is_origin_evaluation(self):
         phi = TestFunction.from_poly({(0, 0, 0): Fraction(5, 7), (2, 0, 0): 3}, 1)
         term = DeltaTerm(ExactScalar.one(), 0, 0, 0)
