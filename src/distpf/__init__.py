@@ -9,7 +9,7 @@ and verifies every symbolic identity numerically through Hadamard
 finite-part pairings with polynomial-Gaussian test functions.
 """
 
-from .coeffs import ExactScalar, chi, coeff_B, coeff_C, coeff_L
+from .coeffs import ExactScalar, coeff_B, coeff_C, coeff_L
 from .pseudofunction import (
     AngularLabel,
     DeltaSum,
@@ -18,7 +18,6 @@ from .pseudofunction import (
     PseudoFunction,
     RadialSeries,
     from_u,
-    parity_split,
 )
 from .distlap import (
     NotRadialSolution,
@@ -51,7 +50,6 @@ from .classify import (
 from .oracle import (
     EULER_GAMMA,
     TestFunction,
-    UnsupportedEll,
     angular_moment,
     finite_part_closed_form,
     finite_part_integral,
@@ -67,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactScalar",
-    "chi",
     "coeff_B",
     "coeff_C",
     "coeff_L",
@@ -78,7 +75,6 @@ __all__ = [
     "PseudoFunction",
     "RadialSeries",
     "from_u",
-    "parity_split",
     "NotRadialSolution",
     "PhysicalUnits",
     "PotentialModel",
@@ -103,7 +99,6 @@ __all__ = [
     "q_nonvanishing",
     "EULER_GAMMA",
     "TestFunction",
-    "UnsupportedEll",
     "angular_moment",
     "finite_part_closed_form",
     "finite_part_integral",

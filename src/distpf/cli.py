@@ -32,13 +32,7 @@ from pathlib import Path
 from .classify import EQUATION_DESCRIPTIONS, EquationForm, Verdict, VerdictKind, classify_solution
 from .coeffs import ExactScalar, coeff_B, coeff_C, coeff_L
 from .distlap import laplacian
-from .oracle import (
-    TestFunction,
-    pair_delta,
-    pair_pseudofunction,
-    testfn_laplacian,
-    verify_laplacian_identity,
-)
+from .oracle import TestFunction, verify_laplacian_identity
 from .pseudofunction import (
     AngularLabel,
     DeltaSum,
@@ -527,7 +521,7 @@ def run(command: str, spec: ProblemSpec):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep exit code 2 reserved for obstructions
-        self.print_usage(sys.stderr)
+        print(f"distpf: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 

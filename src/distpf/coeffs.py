@@ -17,8 +17,6 @@ r^s singularity, and with what weight:
                       derivative of the smooth series factor.
 * ``coeff_B(ell, p)`` pure-rational correction when the source term carries
                       a degree-ell solid harmonic prefactor.
-* ``chi(x)``          1 if x is a nonnegative integer, else 0: the gate that
-                      decides whether a delta term exists at all.
 
 All functions are pure and cache-friendly; values are exact for arbitrarily
 large p.
@@ -36,7 +34,6 @@ __all__ = [
     "coeff_C",
     "coeff_L",
     "coeff_B",
-    "chi",
 ]
 
 def _double_factorial(n: int) -> int:
@@ -246,9 +243,3 @@ def coeff_B(ell: int, p: int) -> ExactScalar:
     if ell < 0 or p < 0:
         raise ValueError(f"ell and p must be nonnegative, got ell={ell}, p={p}")
     return ExactScalar.rational(1 - Fraction(2 * ell, 4 * p + 1))
-
-
-def chi(x) -> int:
-    """1 if x is a nonnegative integer (0 included), else 0."""
-    x = Fraction(x)
-    return 1 if x.denominator == 1 and x >= 0 else 0

@@ -34,9 +34,9 @@ run in any order or in parallel.
 
 Conventions: an ell = 0 pseudofunction is paired as the bare radial
 function (angular factor 1, contributing the full 4*pi sphere moment), and
-an ell = 0 delta term as the bare iterated delta.  Labels with
-1 <= ell <= 4 use the built-in real solid harmonic table with unit-L2
-normalisation; larger ell raises ``UnsupportedEll``.
+an ell = 0 delta term as the bare iterated delta.  Labels with ell >= 1
+use the real solid harmonic with unit-L2 normalisation, generated for any
+ell by ``solid_harmonic`` from one closed-form rule.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .pseudofunction import DeltaTerm, PseudoFunction
 
 __all__ = [
     "EULER_GAMMA",
-    "UnsupportedEll",
     "TestFunction",
     "testfn_laplacian",
     "angular_moment",
@@ -63,17 +62,10 @@ __all__ = [
     "verify_laplacian_identity",
     "scalar_to_float",
     "solid_harmonic",
-    "MAX_ELL",
 ]
 
 # Euler-Mascheroni constant, written to well beyond float precision.
 EULER_GAMMA = 0.577215664901532860606512090082402431042159335939923598805767
-
-MAX_ELL = 4
-
-
-class UnsupportedEll(ValueError):
-    """Angular degree beyond the built-in solid harmonic table."""
 
 
 def scalar_to_float(x: ExactScalar) -> float:
@@ -234,6 +226,17 @@ def _finite_part(m: int, alpha: Fraction) -> float:
     return value
 
 
+def _float_or_raise(evaluate, m, alpha) -> float:
+    """evaluate(m, alpha) as a float, or one ValueError if it leaves the float range."""
+    try:
+        value = evaluate(int(m), Fraction(alpha))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"finite part F({m}, {alpha}) overflows float arithmetic")
+    return value
+
+
 def finite_part_integral(m: int, alpha) -> float:
     """Fp int_0^inf r^m exp(-alpha r^2) dr.
 
@@ -242,13 +245,7 @@ def finite_part_integral(m: int, alpha) -> float:
     and the logarithmic channel at m = -1 subtracts log(cutoff) with no
     scale constant, which fixes  F(-1, alpha) = -(gamma + log alpha)/2.
     """
-    try:
-        value = _finite_part(int(m), Fraction(alpha))
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"finite part F({m}, {alpha}) overflows float arithmetic")
-    return value
+    return _float_or_raise(_finite_part, m, alpha)
 
 
 def finite_part_closed_form(m: int, alpha) -> float:
@@ -259,9 +256,13 @@ def finite_part_closed_form(m: int, alpha) -> float:
     (-alpha)^j / (2 j!) (H_j - gamma - log alpha), H_j the j-th harmonic
     number (Gel'fand-Shilov vol. 1, section I.3).  The Gamma values are
     exact rationals (times sqrt(pi) at even m), each rounded once, so deep
-    rungs do not overflow.  Shares no code path with ``finite_part_integral``.
+    rungs do not overflow.  Shares no arithmetic with ``finite_part_integral``,
+    and raises the same ValueError where F leaves the float range.
     """
-    m, a = int(m), Fraction(alpha)
+    return _float_or_raise(_closed_form, m, alpha)
+
+
+def _closed_form(m: int, a: Fraction) -> float:
     n = (m + 1) // 2
     if m % 2 == 0:  # Gamma(n + 1/2) / sqrt(pi), with m = 2n
         k = abs(n)
@@ -276,70 +277,46 @@ def finite_part_closed_form(m: int, alpha) -> float:
 
 
 # ---------------------------------------------------------------------
-# Real solid harmonics, unit L2 normalisation, ell <= 4
+# Real solid harmonics, unit L2 normalisation
 # ---------------------------------------------------------------------
 
-# Each entry is (q, core) with the solid harmonic equal to
-# sqrt(q / pi) * core(x, y, z); cores are integer-coefficient harmonic
-# homogeneous polynomials of degree ell.  Exactness of q and harmonicity
-# of the cores are asserted by the test suite via the sphere moments.
-_SOLID_TABLE: dict[tuple[int, int], tuple[Fraction, dict]] = {
-    (1, -1): (Fraction(3, 4), {(0, 1, 0): 1}),
-    (1, 0): (Fraction(3, 4), {(0, 0, 1): 1}),
-    (1, 1): (Fraction(3, 4), {(1, 0, 0): 1}),
-    (2, -2): (Fraction(15, 4), {(1, 1, 0): 1}),
-    (2, -1): (Fraction(15, 4), {(0, 1, 1): 1}),
-    (2, 0): (Fraction(5, 16), {(0, 0, 2): 2, (2, 0, 0): -1, (0, 2, 0): -1}),
-    (2, 1): (Fraction(15, 4), {(1, 0, 1): 1}),
-    (2, 2): (Fraction(15, 16), {(2, 0, 0): 1, (0, 2, 0): -1}),
-    (3, -3): (Fraction(35, 32), {(2, 1, 0): 3, (0, 3, 0): -1}),
-    (3, -2): (Fraction(105, 4), {(1, 1, 1): 1}),
-    (3, -1): (Fraction(21, 32), {(0, 1, 2): 4, (0, 3, 0): -1, (2, 1, 0): -1}),
-    (3, 0): (Fraction(7, 16), {(0, 0, 3): 2, (2, 0, 1): -3, (0, 2, 1): -3}),
-    (3, 1): (Fraction(21, 32), {(1, 0, 2): 4, (3, 0, 0): -1, (1, 2, 0): -1}),
-    (3, 2): (Fraction(105, 16), {(2, 0, 1): 1, (0, 2, 1): -1}),
-    (3, 3): (Fraction(35, 32), {(3, 0, 0): 1, (1, 2, 0): -3}),
-    (4, -4): (Fraction(315, 16), {(3, 1, 0): 1, (1, 3, 0): -1}),
-    (4, -3): (Fraction(315, 32), {(2, 1, 1): 3, (0, 3, 1): -1}),
-    (4, -2): (Fraction(45, 16), {(1, 1, 2): 6, (3, 1, 0): -1, (1, 3, 0): -1}),
-    (4, -1): (Fraction(45, 32), {(0, 1, 3): 4, (0, 3, 1): -3, (2, 1, 1): -3}),
-    (4, 0): (
-        Fraction(9, 256),
-        {
-            (0, 0, 4): 8,
-            (2, 0, 2): -24,
-            (0, 2, 2): -24,
-            (4, 0, 0): 3,
-            (2, 2, 0): 6,
-            (0, 4, 0): 3,
-        },
-    ),
-    (4, 1): (Fraction(45, 32), {(1, 0, 3): 4, (3, 0, 1): -3, (1, 2, 1): -3}),
-    (4, 2): (
-        Fraction(45, 64),
-        {(2, 0, 2): 6, (0, 2, 2): -6, (4, 0, 0): -1, (0, 4, 0): 1},
-    ),
-    (4, 3): (Fraction(315, 32), {(3, 0, 1): 1, (1, 2, 1): -3}),
-    (4, 4): (Fraction(315, 256), {(4, 0, 0): 1, (2, 2, 0): -6, (0, 4, 0): 1}),
-}
 
-
+@lru_cache(maxsize=None)
 def solid_harmonic(ell: int, mu: int) -> tuple[Fraction | None, dict]:
     """(q, core) with the harmonic factor sqrt(q/pi) * core; ell = 0 -> (None, 1).
 
-    The ell = 0 entry is the constant 1 (bare radial convention), not the
-    normalised harmonic.
+    The core is the primitive integer polynomial Pi(z, r^2) * Re (x + iy)^m
+    for mu >= 0, or * Im (x + iy)^m for mu < 0, with m = |mu| and
+
+        Pi = sum_k (-1)^k C(ell, k) C(2 ell - 2k, ell) (ell - 2k)! / (ell - 2k - m)!
+             * r^(2k) z^(ell - 2k - m)
+
+    (Helgaker, Jorgensen & Olsen, *Molecular Electronic-Structure Theory*,
+    section 6.4.2), and q = pi / int core^2 dOmega from the exact sphere
+    moments.  The ell = 0 entry is the constant 1 (bare radial convention),
+    not the normalised harmonic.
     """
+    m = abs(mu)
+    if m > ell:
+        raise ValueError(f"|mu| <= ell violated: ell={ell}, mu={mu}")
     if ell == 0:
-        if mu != 0:
-            raise ValueError("mu must be 0 when ell is 0")
         return None, {(0, 0, 0): 1}
-    try:
-        return _SOLID_TABLE[(ell, mu)]
-    except KeyError:
-        raise UnsupportedEll(
-            f"no built-in solid harmonic for ell={ell}, mu={mu} (supported ell <= {MAX_ELL})"
-        ) from None
+    zonal: dict[Monomial, int] = {}  # Pi(z, r^2)
+    r2k = {(0, 0, 0): 1}  # r^(2k)
+    for k in range((ell - m) // 2 + 1):
+        n = ell - 2 * k
+        weight = (-1) ** k * math.comb(ell, k) * math.comb(2 * (ell - k), ell) * math.perm(n, m)
+        for (a, b, c), v in r2k.items():
+            zonal[(a, b, c + n - m)] = zonal.get((a, b, c + n - m), 0) + weight * v
+        r2k = _poly_mul(r2k, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    # the terms C(m, j) x^(m-j) (iy)^j of (x + iy)^m with j even (Re) or odd (Im)
+    sector = {(m - j, j, 0): (-1) ** (j // 2) * math.comb(m, j) for j in range(mu < 0, m + 1, 2)}
+    core = {mono: int(c) for mono, c in _poly_mul(zonal, sector).items() if c}
+    g = math.gcd(*core.values())
+    core = {mono: c // g for mono, c in core.items()}
+    square = _poly_mul(core, core)
+    norm = sum((c * angular_moment(*mono) for mono, c in square.items()), ExactScalar.zero())
+    return 1 / norm.as_single_term()[1], core  # norm = pi / q
 
 
 def _harmonic_scale(q: Fraction | None) -> float:

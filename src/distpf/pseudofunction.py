@@ -37,7 +37,6 @@ __all__ = [
     "DeltaSum",
     "DistributionExpr",
     "from_u",
-    "parity_split",
 ]
 
 
@@ -245,12 +244,3 @@ def from_u(u: RadialSeries, angular: AngularLabel) -> PseudoFunction:
     if u.is_zero:
         return PseudoFunction(RadialSeries.zero(), angular)
     return PseudoFunction(RadialSeries(u.s - 1, u.coeffs), angular)
-
-
-def parity_split(series: RadialSeries):
-    """Split coefficients into even-index and odd-index sublists.
-
-    Writing the series as r^s * [S_e(r) + r * S_d(r)] with both S factors
-    even power series, returns (coefficients of S_e, coefficients of S_d).
-    """
-    return series.coeffs[0::2], series.coeffs[1::2]

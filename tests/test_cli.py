@@ -212,6 +212,22 @@ class TestMain:
             main(["classify", "--root", "sideways"])
         assert err.value.code == 1
 
+    def test_usage_error_says_what_is_wrong(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["classify", "--energy"])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "distpf: argument --energy: expected one argument\n"
+
+    def test_laplacian_verify_beyond_ell_four_exit_0(self, tmp_path, capsys):
+        cfg = tmp_path / "ell6.cfg"
+        cfg.write_text("s = -13\ncoeffs = 1, 0, 2\nell = 6\nmu = -2\n")
+        assert main(["laplacian", "--config", str(cfg), "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "r^6 Y[6,-2] lap^8(delta)" in out
+        assert "residual: max" in out
+
     def test_verify_nan_tolerance_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "one.cfg"
         cfg.write_text("s = -1\ncoeffs = 1\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from distpf import ExactScalar, chi, coeff_B, coeff_C, coeff_L
+from distpf import ExactScalar, coeff_B, coeff_C, coeff_L
 
 
 def pi_times(q) -> ExactScalar:
@@ -126,12 +126,3 @@ class TestCoefficientB:
         for ell in range(21):
             for p in range(21):
                 assert not coeff_B(ell, p).is_zero
-
-
-class TestChi:
-    @pytest.mark.parametrize(
-        "x, expected",
-        [(0, 1), (1, 1), (7, 1), (Fraction(1, 2), 0), (-1, 0), (Fraction(-3, 2), 0)],
-    )
-    def test_values(self, x, expected):
-        assert chi(x) == expected

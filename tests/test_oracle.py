@@ -16,10 +16,10 @@ from distpf import (
     PseudoFunction,
     RadialSeries,
     TestFunction,
-    UnsupportedEll,
     angular_moment,
     finite_part_closed_form,
     finite_part_integral,
+    laplacian,
     pair_delta,
     pair_pseudofunction,
     scalar_to_float,
@@ -28,7 +28,7 @@ from distpf import (
     verify_laplacian_identity,
 )
 from distpf import oracle
-from distpf.oracle import _SOLID_TABLE, _harmonic_scale, _poly_laplacian, _poly_mul
+from distpf.oracle import _harmonic_scale, _poly_laplacian, _poly_mul
 
 PI = math.pi
 
@@ -175,6 +175,14 @@ class TestFinitePartIntegral:
             finite_part_closed_form(m, alpha), rel=1e-11
         )
 
+    def test_closed_form_out_of_range_raises_like_the_recurrence(self):
+        with pytest.raises(ValueError) as recurrence:
+            finite_part_integral(343, 1)
+        with pytest.raises(ValueError) as closed_form:
+            finite_part_closed_form(343, 1)
+        assert str(closed_form.value) == str(recurrence.value)
+        assert str(closed_form.value) == "finite part F(343, 1) overflows float arithmetic"
+
     @pytest.mark.parametrize("m, alpha", [(-2001, 368), (-2500, 460)])
     def test_deep_rungs_against_closed_form(self, m, alpha):
         # alpha chosen so that the value is a normal float, not an underflowed 0
@@ -183,41 +191,91 @@ class TestFinitePartIntegral:
         assert finite_part_integral(m, alpha) == pytest.approx(expected, rel=1e-10)
 
 
+# The hand-typed (q, core) table the oracle once used for ell <= 4, kept as
+# reference data for the generator: same q, same core, same signs.
+REFERENCE_HARMONICS = {
+    (1, -1): (Fraction(3, 4), {(0, 1, 0): 1}),
+    (1, 0): (Fraction(3, 4), {(0, 0, 1): 1}),
+    (1, 1): (Fraction(3, 4), {(1, 0, 0): 1}),
+    (2, -2): (Fraction(15, 4), {(1, 1, 0): 1}),
+    (2, -1): (Fraction(15, 4), {(0, 1, 1): 1}),
+    (2, 0): (Fraction(5, 16), {(0, 0, 2): 2, (2, 0, 0): -1, (0, 2, 0): -1}),
+    (2, 1): (Fraction(15, 4), {(1, 0, 1): 1}),
+    (2, 2): (Fraction(15, 16), {(2, 0, 0): 1, (0, 2, 0): -1}),
+    (3, -3): (Fraction(35, 32), {(2, 1, 0): 3, (0, 3, 0): -1}),
+    (3, -2): (Fraction(105, 4), {(1, 1, 1): 1}),
+    (3, -1): (Fraction(21, 32), {(0, 1, 2): 4, (0, 3, 0): -1, (2, 1, 0): -1}),
+    (3, 0): (Fraction(7, 16), {(0, 0, 3): 2, (2, 0, 1): -3, (0, 2, 1): -3}),
+    (3, 1): (Fraction(21, 32), {(1, 0, 2): 4, (3, 0, 0): -1, (1, 2, 0): -1}),
+    (3, 2): (Fraction(105, 16), {(2, 0, 1): 1, (0, 2, 1): -1}),
+    (3, 3): (Fraction(35, 32), {(3, 0, 0): 1, (1, 2, 0): -3}),
+    (4, -4): (Fraction(315, 16), {(3, 1, 0): 1, (1, 3, 0): -1}),
+    (4, -3): (Fraction(315, 32), {(2, 1, 1): 3, (0, 3, 1): -1}),
+    (4, -2): (Fraction(45, 16), {(1, 1, 2): 6, (3, 1, 0): -1, (1, 3, 0): -1}),
+    (4, -1): (Fraction(45, 32), {(0, 1, 3): 4, (0, 3, 1): -3, (2, 1, 1): -3}),
+    (4, 0): (
+        Fraction(9, 256),
+        {(0, 0, 4): 8, (2, 0, 2): -24, (0, 2, 2): -24, (4, 0, 0): 3, (2, 2, 0): 6, (0, 4, 0): 3},
+    ),
+    (4, 1): (Fraction(45, 32), {(1, 0, 3): 4, (3, 0, 1): -3, (1, 2, 1): -3}),
+    (4, 2): (Fraction(45, 64), {(2, 0, 2): 6, (0, 2, 2): -6, (4, 0, 0): -1, (0, 4, 0): 1}),
+    (4, 3): (Fraction(315, 32), {(3, 0, 1): 1, (1, 2, 1): -3}),
+    (4, 4): (Fraction(315, 256), {(4, 0, 0): 1, (2, 2, 0): -6, (0, 4, 0): 1}),
+}
+
+LABELS = [(ell, mu) for ell in range(1, 9) for mu in range(-ell, ell + 1)]
+
+
+def _sphere_inner(p1, p2):
+    """int over the unit sphere of p1 * p2 dOmega, over pi (exact)."""
+    total = ExactScalar.zero()
+    for mono, c in _poly_mul(p1, p2).items():
+        total = total + c * angular_moment(*mono)
+    return total / ExactScalar.pi_term(1, 2)
+
+
 class TestSolidHarmonics:
+    @pytest.mark.parametrize("label", sorted(REFERENCE_HARMONICS))
+    def test_reproduces_reference_table(self, label):
+        q, core = solid_harmonic(*label)
+        ref_q, ref_core = REFERENCE_HARMONICS[label]
+        assert q == ref_q
+        assert core == ref_core
+        assert all(type(c) is int for c in core.values())
+
     def test_cores_are_harmonic_and_homogeneous(self):
-        for (ell, _mu), (_q, core) in _SOLID_TABLE.items():
+        for ell, mu in LABELS:
+            core = solid_harmonic(ell, mu)[1]
             assert not _poly_laplacian(core)
             assert {sum(mono) for mono in core} == {ell}
 
     def test_unit_norm_exact(self):
-        for (_ell, _mu), (q, core) in _SOLID_TABLE.items():
-            total = ExactScalar.zero()
-            for m1, c1 in core.items():
-                for m2, c2 in core.items():
-                    mono = tuple(a + b for a, b in zip(m1, m2))
-                    total = total + Fraction(c1 * c2) * angular_moment(*mono)
+        for ell, mu in LABELS:
+            q, core = solid_harmonic(ell, mu)
             # (q/pi) * integral of core^2 over the sphere must be 1
-            assert total == ExactScalar.pi_term(1 / q, 2)
+            assert _sphere_inner(core, core) == ExactScalar.rational(1 / q)
 
     def test_pairwise_orthogonal_exact(self):
-        keys = sorted(_SOLID_TABLE)
-        for i, k1 in enumerate(keys):
-            for k2 in keys[i + 1 :]:
-                core1, core2 = _SOLID_TABLE[k1][1], _SOLID_TABLE[k2][1]
-                total = ExactScalar.zero()
-                for m1, c1 in core1.items():
-                    for m2, c2 in core2.items():
-                        mono = tuple(a + b for a, b in zip(m1, m2))
-                        total = total + Fraction(c1 * c2) * angular_moment(*mono)
-                assert total.is_zero, (k1, k2)
+        for i, k1 in enumerate(LABELS):
+            for k2 in LABELS[i + 1 :]:
+                core1, core2 = solid_harmonic(*k1)[1], solid_harmonic(*k2)[1]
+                assert _sphere_inner(core1, core2).is_zero, (k1, k2)
 
     def test_ell_zero_is_bare_constant(self):
         q, core = solid_harmonic(0, 0)
         assert q is None and core == {(0, 0, 0): 1}
 
-    def test_unsupported_ell(self):
-        with pytest.raises(UnsupportedEll):
-            solid_harmonic(5, 0)
+    @pytest.mark.parametrize("ell, mu", [(0, 1), (2, -3), (-1, 0)])
+    def test_label_out_of_range(self, ell, mu):
+        with pytest.raises(ValueError):
+            solid_harmonic(ell, mu)
+
+    def test_ell_five_is_generated(self):
+        q, core = solid_harmonic(5, 0)
+        assert q == Fraction(11, 256)
+        assert core == {
+            (0, 0, 5): 8, (2, 0, 3): -40, (0, 2, 3): -40, (4, 0, 1): 15, (2, 2, 1): 30, (0, 4, 1): 15
+        }
 
 
 class TestPairings:
@@ -240,9 +298,13 @@ class TestPairings:
         pf = PseudoFunction(RadialSeries.zero(), AngularLabel(0, 0))
         assert pair_pseudofunction(pf, TestFunction.gaussian(1)) == 0.0
 
-    def test_unsupported_ell_propagates(self):
-        with pytest.raises(UnsupportedEll):
-            pair_pseudofunction(pf_of(-6, (1,), ell=5, mu=0), TestFunction.gaussian(1))
+    def test_ell_five_pairs_against_its_own_core(self):
+        # <r^s Y, core e^{-alpha r^2}> = sqrt(pi/q) F(s + ell + 2, alpha)
+        q, core = solid_harmonic(5, 0)
+        phi = TestFunction.from_poly(core, 1)
+        assert pair_pseudofunction(pf_of(-6, (1,), ell=5, mu=0), phi) == pytest.approx(
+            math.sqrt(PI / q) * finite_part_integral(1, 1), rel=1e-14
+        )
 
 
 def _pair_delta_iterated(term, phi):
@@ -308,10 +370,14 @@ class TestPairDelta:
             phi = random_testfn(rng)
             assert pair_delta(term, phi) == float(phi.value_at_origin())
 
-    def test_unsupported_ell(self):
-        term = DeltaTerm(ExactScalar.one(), 5, 0, 3)
-        with pytest.raises(UnsupportedEll):
-            pair_delta(term, TestFunction.gaussian(1))
+    def test_ell_five_pairs_against_its_own_core(self):
+        # lap^5(core^2)(0) = 11!/(4 pi) * pi/q, by Pizzetti's formula
+        q, core = solid_harmonic(5, 0)
+        phi = TestFunction.from_poly(core, 1)
+        term = DeltaTerm(ExactScalar.one(), 5, 0, 5)
+        value = pair_delta(term, phi)
+        assert value == _pair_delta_iterated(term, phi)
+        assert value == pytest.approx(math.factorial(11) / (4 * math.sqrt(q * PI)), rel=1e-14)
 
     def test_iterated_delta_on_gaussian(self):
         term = DeltaTerm(ExactScalar.one(), 0, 0, 1)
@@ -363,3 +429,19 @@ class TestLaplacianIdentity:
                 pf = random_pf(rng, s, ell, max_len=3)
                 for _ in range(3):
                     assert verify_laplacian_identity(pf, random_testfn(rng)) < 1e-8
+
+    @pytest.mark.parametrize("ell", [5, 6, 7, 8])
+    def test_high_ell_identity_with_nonzero_delta_pairing(self, ell):
+        # A delta term r^ell Y lap^p delta pairs to zero unless p >= ell and
+        # phi has a Y component; s = -ell - 1 puts a_0 on the rung p = ell.
+        for mu in sorted({-ell, -1, 0, 1, ell - 1}):
+            core = solid_harmonic(ell, mu)[1]
+            poly = _poly_mul(core, {(0, 0, 0): 1, (2, 0, 0): Fraction(1, 3), (0, 1, 1): -1})
+            phi = TestFunction.from_poly(poly, Fraction(1, 2))
+            for s in (-2 * ell - 1, -2 * ell - 2, -ell - 1):
+                pf = pf_of(s, (1, Fraction(-1, 2), 2), ell=ell, mu=mu)
+                lhs = pair_pseudofunction(pf, testfn_laplacian(phi))
+                assert lhs != 0.0
+                assert verify_laplacian_identity(pf, phi) <= 1e-10 * abs(lhs), (ell, mu, s)
+            deltas = laplacian(pf_of(-ell - 1, (1,), ell=ell, mu=mu)).delta_part
+            assert any(pair_delta(term, phi) != 0.0 for term in deltas), (ell, mu)

@@ -14,7 +14,6 @@ from distpf import (
     PseudoFunction,
     RadialSeries,
     from_u,
-    parity_split,
 )
 
 
@@ -85,31 +84,6 @@ class TestFromU:
         pf = from_u(u, AngularLabel(0, 0))
         back = RadialSeries(pf.radial.s + 1, pf.radial.coeffs)
         assert back == u
-
-
-class TestParitySplit:
-    def test_interleaving(self):
-        even, odd = parity_split(RadialSeries.exact(0, (1, 2, 3)))
-        assert even == (1, 3) and odd == (2,)
-
-    def test_single(self):
-        even, odd = parity_split(RadialSeries.exact(-2, (5,)))
-        assert even == (5,) and odd == ()
-
-    def test_invariant_blocks_leading_zero(self):
-        with pytest.raises(ValueError):
-            parity_split(RadialSeries.exact(0, (0, 1, 2)))
-
-    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=9))
-    def test_partition(self, coeffs):
-        if coeffs[0] == 0:
-            coeffs[0] = 3
-        series = RadialSeries.exact(0, coeffs)
-        even, odd = parity_split(series)
-        rebuilt = []
-        for i in range(len(coeffs)):
-            rebuilt.append(even[i // 2] if i % 2 == 0 else odd[i // 2])
-        assert tuple(rebuilt) == series.coeffs
 
 
 class TestDeltaTypes:

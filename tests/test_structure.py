@@ -62,3 +62,21 @@ def test_only_stdlib_imports():
                 if module.split(".")[0] not in sys.stdlib_module_names
             ]
     assert found == []
+
+
+def test_no_unused_imports():
+    """Every name a module imports is used in it; ``__init__`` only re-exports."""
+    found = []
+    for name, tree in _trees().items():
+        if name == "__init__":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{name}.py:{node.lineno}:{b}" for b in bound if b not in used]
+    assert found == []
