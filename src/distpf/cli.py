@@ -9,6 +9,10 @@
 Problems are described by flags and/or a flat `key = value` config file
 (`#` starts a comment); the potential is written `v[-1] = -2`, `v[0] = 0`
 and so on, the series for `laplacian` as `s = -3` and `coeffs = 1, 0, 2`.
+Flag values are text like config values: `build_spec` parses and checks
+both from one table of fields, and an unknown key or a bad value is
+rejected with one `config error: field <key>: ...` line.
+
 Exit codes: 0 success, 1 bad input, 2 the requested series solution needs
 a logarithm, 3 a verification residual exceeded the tolerance (NaN counts
 as exceeded).
@@ -102,80 +106,86 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def _parse_number(value: str, mode: str, *, where: str, finite: bool = False):
+def _number(text: str, mode: str):
     try:
-        number = float(value) if mode == "float" else Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"field {where}: cannot parse {value!r} as a number") from exc
-    if finite and mode == "float" and not math.isfinite(number):
-        raise ConfigError(f"field {where}: must be finite, got {value!r}")
+        return float(text) if mode == "float" else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse {text!r} as a number") from None
+
+
+def _finite(text: str, mode: str):
+    number = _number(text, mode)
+    if mode == "float" and not math.isfinite(number):
+        raise ValueError(f"must be finite, got {text!r}")
     return number
 
 
+def _integer(text: str, least: int | None = None) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+    if least is not None and n < least:
+        raise ValueError(f"must be at least {least}, got {text!r}")
+    return n
+
+
+def _choice(text: str, allowed: tuple) -> str:
+    if text not in allowed:
+        raise ValueError(f"must be {', '.join(allowed[:-1])} or {allowed[-1]}, got {text!r}")
+    return text
+
+
+_ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+# Every config key but the potential `v[j]`, with the parser of its text
+# under the given mode.  A parser raises ValueError saying what is wrong.
+_FIELDS = {
+    "mode": lambda text, mode: _choice(text, ("exact", "float")),
+    "ell": lambda text, mode: _integer(text, least=0),
+    "mu": lambda text, mode: _integer(text),
+    "energy": _finite,
+    "root": lambda text, mode: _choice(text, ("regular", "singular", "both")),
+    "order": lambda text, mode: _integer(text, least=1),
+    "hbar2_over_2m": lambda text, mode: PhysicalUnits(_number(text, "exact")),
+    "tol": lambda text, mode: _number(text, "float"),
+    "verify": lambda text, mode: _choice(text.lower(), _ON + _OFF) in _ON,
+    "s": lambda text, mode: _finite(text, mode) if mode == "float" else _integer(text),
+    "coeffs": lambda text, mode: tuple(_number(p.strip(), mode) for p in text.split(",") if p.strip()),
+}
+
+# The fields that a value flag can also set: --ell, ..., --hbar2-over-2m.
+_FLAG_FIELDS = ("ell", "mu", "energy", "root", "order", "hbar2_over_2m", "mode", "tol")
+
+
 def build_spec(config: dict, overrides: dict) -> ProblemSpec:
-    """Merge config-file fields with flag overrides into a ProblemSpec."""
-    merged = dict(config)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+    """Parse and check config-file fields, overridden by flags, into a ProblemSpec.
 
-    mode = str(merged.get("mode", "exact"))
-    if mode not in ("exact", "float"):
-        raise ConfigError(f"field mode: must be exact or float, got {mode!r}")
-
-    spec = ProblemSpec(mode=mode)
-
-    poly: dict[int, object] = {}
-    v_minus1 = 0
-    for key, value in merged.items():
-        if key.startswith("v[") and key.endswith("]"):
-            try:
-                idx = int(key[2:-1])
-            except ValueError as exc:
-                raise ConfigError(f"field {key}: bad potential index") from exc
-            if idx < -1:
-                raise ConfigError(f"field {key}: potential may not be more singular than 1/r")
-            val = _parse_number(str(value), mode, where=key, finite=True)
-            if idx == -1:
-                v_minus1 = val
+    Flag values are text like config values and pass the same parsers; a bad
+    value or an unknown key raises ConfigError("field <key>: ...").
+    """
+    merged = {**config, **{k: v for k, v in overrides.items() if v is not None}}
+    mode = str(merged.pop("mode", "exact"))
+    fields, poly = {}, {}
+    # mode first: the number parsers read it.
+    for key, value in [("mode", mode), *merged.items()]:
+        text = str(value)
+        try:
+            if key.startswith("v[") and key.endswith("]"):
+                idx = _integer(key[2:-1])
+                if idx < -1:
+                    raise ValueError("potential may not be more singular than 1/r")
+                poly[idx] = _finite(text, mode)
+            elif key in _FIELDS:
+                fields["units" if key == "hbar2_over_2m" else key] = _FIELDS[key](text, mode)
             else:
-                poly[idx] = val
+                raise ValueError("unknown key")
+        except ValueError as exc:
+            raise ConfigError(f"field {key}: {exc}") from None
+    v_minus1 = poly.pop(-1, 0)
     degree = max(poly) + 1 if poly else 0
     v = tuple(poly.get(j, Fraction(0) if mode == "exact" else 0.0) for j in range(degree))
-    spec.potential = PotentialModel(v_minus1, v)
-
-    if "ell" in merged:
-        spec.ell = int(str(merged["ell"]))
-    if "mu" in merged:
-        spec.mu = int(str(merged["mu"]))
-    if "energy" in merged:
-        spec.energy = _parse_number(str(merged["energy"]), mode, where="energy", finite=True)
-    if "root" in merged:
-        root = str(merged["root"])
-        if root not in ("regular", "singular", "both"):
-            raise ConfigError(f"field root: must be regular, singular or both, got {root!r}")
-        spec.root = root
-    if "order" in merged:
-        spec.order = int(str(merged["order"]))
-        if spec.order < 1:
-            raise ConfigError("field order: must be at least 1")
-    if "hbar2_over_2m" in merged:
-        spec.units = PhysicalUnits(
-            _parse_number(str(merged["hbar2_over_2m"]), "exact", where="hbar2_over_2m")
-        )
-    if "tol" in merged:
-        spec.tol = float(str(merged["tol"]))
-    if "verify" in merged:
-        spec.verify = str(merged["verify"]).lower() in ("1", "true", "yes", "on")
-    if "s" in merged:
-        raw = str(merged["s"])
-        spec.s = float(raw) if mode == "float" else int(raw)
-    if "coeffs" in merged:
-        raw = merged["coeffs"]
-        if isinstance(raw, str):
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            spec.coeffs = tuple(_parse_number(p, mode, where="coeffs") for p in parts)
-        else:
-            spec.coeffs = tuple(raw)
-    return spec
+    return ProblemSpec(potential=PotentialModel(v_minus1, v), **fields)
 
 
 # ---------------------------------------------------------------------
@@ -525,30 +535,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# The flags that take one value, kept as text for build_spec to check.
+# argparse reads a token such as -1/4 or -inf after one as an option.
+_VALUE_FLAGS = ("--config", *(f"--{key.replace('_', '-')}" for key in _FLAG_FIELDS), "--json")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="distpf", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--ell", type=int, default=None)
-        p.add_argument("--mu", type=int, default=None)
-        p.add_argument("--energy", type=str, default=None)
-        p.add_argument("--root", choices=("regular", "singular", "both"), default=None)
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--hbar2-over-2m", dest="hbar2_over_2m", type=str, default=None)
-        p.add_argument("--mode", choices=("exact", "float"), default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--json", dest="json_path", type=str, default=None)
-        p.add_argument("--verify", action="store_const", const="true", default=None)
+        for flag in _VALUE_FLAGS:
+            p.add_argument(flag)
+        p.add_argument("--verify", action="store_const", const="true")
     return parser
-
-
-# The flags that take one value.  argparse reads a token such as -1/4 or
-# -inf after one of them as an option, not as its value.
-_VALUE_FLAGS = frozenset(
-    "--config --ell --mu --energy --root --order --hbar2-over-2m --mode --tol --json".split()
-)
 
 
 def _glue_dash_values(argv: list[str]) -> list[str]:
@@ -565,27 +565,18 @@ def _glue_dash_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_glue_dash_values(argv))
+    # Python >= 3.10.7 caps int <-> str conversion at 4300 digits.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        if args.json_path and not Path(args.json_path).parent.is_dir():
-            raise OSError(f"--json: directory of {args.json_path!r} does not exist")
-        if args.json_path and Path(args.json_path).is_dir():
-            raise OSError(f"--json: {args.json_path!r} is a directory")
-        config = {}
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = parse_config(fh.read())
-        overrides = {
-            "ell": args.ell,
-            "mu": args.mu,
-            "energy": args.energy,
-            "root": args.root,
-            "order": args.order,
-            "hbar2_over_2m": args.hbar2_over_2m,
-            "mode": args.mode,
-            "tol": args.tol,
-            "verify": args.verify,
-        }
-        spec = build_spec(config, overrides)
+        if args.json and not Path(args.json).parent.is_dir():
+            raise OSError(f"--json: directory of {args.json!r} does not exist")
+        if args.json and Path(args.json).is_dir():
+            raise OSError(f"--json: {args.json!r} is a directory")
+        config = parse_config(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+        spec = build_spec(config, {key: getattr(args, key) for key in (*_FLAG_FIELDS, "verify")})
+        # Every outside value is parsed under the cap; lift it for exact results.
+        if digit_limit:
+            sys.set_int_max_str_digits(0)
         code, report, doc = run(args.command, spec)
     except ConfigError as exc:
         print(f"distpf: config error: {exc}", file=sys.stderr)
@@ -593,9 +584,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"distpf: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
     print(report)
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     return code

@@ -139,9 +139,7 @@ def laplacian(pf: PseudoFunction) -> DistributionExpr:
     """
     rad, label = pf.radial, pf.angular
     s, ell = rad.s, label.ell
-    out = [
-        ((s + k) * (s + k + 1) - ell * (ell + 1)) * a for k, a in enumerate(rad.coeffs)
-    ]
+    out = [radial._indicial(k, s, ell) * a for k, a in enumerate(rad.coeffs)]
     pf_part = PseudoFunction(RadialSeries.make(s - 2, out), label)
     return DistributionExpr(pf_part, q_sl(pf))
 

@@ -1,9 +1,12 @@
 """Front end: config parsing, subcommands, exit codes, JSON round trips."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from distpf import (
     AngularLabel,
@@ -16,10 +19,10 @@ from distpf import (
 )
 from distpf.classify import VerdictKind, classify_solution
 from distpf.cli import (
+    _FLAG_FIELDS,
     _VALUE_FLAGS,
     ConfigError,
     ProblemSpec,
-    _build_parser,
     build_spec,
     main,
     parse_config,
@@ -34,6 +37,10 @@ from distpf.cli import (
     serialize_verdict,
 )
 from distpf.distlap import PotentialModel
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int digit limit"
+)
 
 
 class TestConfigParsing:
@@ -207,10 +214,12 @@ class TestMain:
     def test_missing_config_exit_1(self, capsys):
         assert main(["classify", "--config", "/nonexistent/x.cfg"]) == 1
 
-    def test_usage_error_exit_1(self):
-        with pytest.raises(SystemExit) as err:
-            main(["classify", "--root", "sideways"])
-        assert err.value.code == 1
+    def test_usage_error_exit_1(self, capsys):
+        assert main(["classify", "--root", "sideways"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("distpf: config error: field root: ")
+        assert captured.err.count("\n") == 1
 
     def test_usage_error_says_what_is_wrong(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -298,16 +307,71 @@ class TestMain:
         assert spaced.err.startswith("distpf: config error: field energy: ")
         assert spaced.err.count("\n") == 1
 
-    def test_value_flags_are_the_parsers(self):
-        sub = _build_parser()._subparsers._group_actions[0]
-        for parser in sub.choices.values():
-            takes_value = {
-                flag
-                for action in parser._actions
-                if action.nargs is None
-                for flag in action.option_strings
-            }
-            assert takes_value == _VALUE_FLAGS
+    @pytest.mark.parametrize("flag", _VALUE_FLAGS)
+    def test_every_value_flag_reads_leading_minus_as_glued(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)  # --json -1 writes ./-1
+        glued_code = main(["classify", "--order", "4", f"{flag}=-1"])
+        glued = capsys.readouterr()
+        assert main(["classify", "--order", "4", flag, "-1"]) == glued_code
+        assert capsys.readouterr() == glued
+
+    @pytest.mark.parametrize(
+        "config, flags, key",
+        [
+            ("", ["--ell", "x"], "ell"),
+            ("ell = x\n", [], "ell"),
+            ("", ["--ell", "-1"], "ell"),
+            ("s = 1.5\ncoeffs = 1\n", [], "s"),
+            ("order = 2.5\n", [], "order"),
+            ("tol = abc\n", [], "tol"),
+            ("", ["--tol", "abc"], "tol"),
+            ("verify = maybe\n", [], "verify"),
+            ("mode = float\ns = nan\ncoeffs = 1\n", [], "s"),
+            ("enrgy = 1\n", [], "enrgy"),
+            ("", ["--mode", "bad"], "mode"),
+            ("hbar2_over_2m = -1\n", [], "hbar2_over_2m"),
+        ],
+    )
+    def test_bad_value_names_its_field_exit_1(self, tmp_path, capsys, config, flags, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        assert main(["laplacian", "--config", str(cfg), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"distpf: config error: field {key}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "word, on",
+        [("yes", True), ("on", True), ("1", True), ("True", True),
+         ("no", False), ("off", False), ("0", False), ("false", False)],
+    )
+    def test_verify_switch_words(self, tmp_path, capsys, word, on):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(f"s = -3\ncoeffs = 1\nverify = {word}\n")
+        assert main(["laplacian", "--config", str(cfg)]) == 0
+        assert ("residual: max" in capsys.readouterr().out) == on
+
+    @needs_digit_limit
+    def test_large_order_coeffs_print(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert main(["coeffs", "--order", "800"]) == 0
+        assert capsys.readouterr().out.count("\n") == 802
+        assert sys.get_int_max_str_digits() == limit
+
+    @needs_digit_limit
+    def test_large_order_solve_prints(self, tmp_path, capsys):
+        cfg = tmp_path / "coulomb.cfg"
+        cfg.write_text("v[-1] = -2\nv[0] = 3/10\nv[1] = 7/10\nenergy = -1\nhbar2_over_2m = 3/2\n")
+        assert main(["solve", "--config", str(cfg), "--order", "1000", "--ell", "1"]) == 0
+        assert "r^1001" in capsys.readouterr().out
+
+    @needs_digit_limit
+    def test_config_integers_keep_the_digit_limit(self, tmp_path, capsys):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(f"mu = {'1' * (sys.get_int_max_str_digits() + 1)}\n")
+        assert main(["classify", "--config", str(cfg), "--order", "1"]) == 1
+        assert capsys.readouterr().err.startswith("distpf: config error: field mu: ")
 
     def test_zero_denominator_hbar_exit_1(self, capsys):
         assert main(["classify", "--hbar2-over-2m", "1/0"]) == 1
@@ -342,3 +406,58 @@ class TestMain:
         expr = parse_expr(doc)
         assert not expr.pf_part.radial.is_exact
         assert expr.pf_part.radial.coeffs == (6 * 0.1, 12 * -0.25)
+
+
+# Valid and invalid texts for every field, an unknown key and bad potential indices.
+_FIELD_TEXTS = {
+    "mode": ["exact", "float", "Float"],
+    "ell": ["0", "1", "3", "-1", "x", "2.5"],
+    "mu": ["0", "1", "-1", "4", "x"],
+    "energy": ["0", "-1", "1/3", "-0.25", "nan", "-inf", "1/0", "x"],
+    "root": ["regular", "singular", "both", "sideways"],
+    "order": ["1", "8", "60", "0", "-3", "2.5"],
+    "hbar2_over_2m": ["1", "3/2", "0.5", "-1", "0", "1/0"],
+    "tol": ["1e-8", "0", "-1", "nan", "inf", "abc"],
+    "verify": ["yes", "off", "1", "FALSE", "maybe", ""],
+    "s": ["-3", "-1", "0", "2", "-13", "1.5", "nan", "-inf", "x"],
+    "coeffs": ["1", "1, 0, 2", "1/2, -1", "1, nan", "inf", "0", "x", ""],
+    "v[-1]": ["-2", "0.3", "nan"],
+    "v[0]": ["1/3", "-0.25", "x"],
+    "v[2]": ["1/5", "inf"],
+    "v[-2]": ["1"],
+    "v[x]": ["1"],
+    "enrgy": ["1"],
+}
+
+
+def _assignments(keys):
+    return st.lists(st.sampled_from(keys), unique=True, max_size=4).flatmap(
+        lambda chosen: st.tuples(*(st.tuples(st.just(k), st.sampled_from(_FIELD_TEXTS[k])) for k in chosen))
+    )
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["coeffs", "laplacian", "solve", "classify", "verify"]),
+    lines=_assignments(sorted(_FIELD_TEXTS)),
+    flags=_assignments(list(_FLAG_FIELDS)),
+    switches=st.sampled_from([[], ["--verify"], ["--json", "out.json"]]),
+    tail=st.sampled_from([[]] * 4 + [["--energy"], ["--ell", "--mu", "1"]]),
+)
+def test_main_exit_codes_on_any_input(tmp_path, monkeypatch, capsys, command, lines, flags, switches, tail):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("".join(f"{key} = {text}\n" for key, text in lines))
+    argv = [command, "--config", str(cfg), *switches, *tail]
+    for key, text in flags:
+        argv[1:1] = [f"--{key.replace('_', '-')}", text]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        assert exc.code == 1
+        code = 1
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        err = capsys.readouterr().err
+        assert err.startswith("distpf: ") and err.count("\n") == 1
