@@ -9,103 +9,23 @@ and verifies every symbolic identity numerically through Hadamard
 finite-part pairings with polynomial-Gaussian test functions.
 """
 
-from .coeffs import ExactScalar, coeff_B, coeff_C, coeff_L
-from .pseudofunction import (
-    AngularLabel,
-    DeltaSum,
-    DeltaTerm,
-    DistributionExpr,
-    PseudoFunction,
-    RadialSeries,
-    from_u,
-)
-from .distlap import (
-    NotRadialSolution,
-    PhysicalUnits,
-    PotentialModel,
-    fold_y00,
-    hamiltonian_apply,
-    laplacian,
-    laplacian_power,
-    q_s,
-    q_sl,
-    radial_operator,
-)
-from .radial import (
-    FreeParameterSetToZero,
-    FrobeniusResult,
-    LogObstruction,
-    frobenius,
-    indicial_roots,
-    normalizable_at_origin,
-    radial_residuals,
-)
-from .classify import (
-    EquationForm,
-    Verdict,
-    VerdictKind,
-    classify_solution,
-    q_nonvanishing,
-)
-from .oracle import (
-    EULER_GAMMA,
-    TestFunction,
-    angular_moment,
-    finite_part_closed_form,
-    finite_part_integral,
-    pair_delta,
-    pair_pseudofunction,
-    scalar_to_float,
-    solid_harmonic,
-    testfn_laplacian,
-    verify_laplacian_identity,
-)
+# Each module's __all__ is the one list of its public names; the package
+# exports their union.  No name may appear in two lists (a later star
+# import would shadow it silently), which tests/test_structure.py checks.
+from .coeffs import *
+from .pseudofunction import *
+from .distlap import *
+from .radial import *
+from .classify import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactScalar",
-    "coeff_B",
-    "coeff_C",
-    "coeff_L",
-    "AngularLabel",
-    "DeltaSum",
-    "DeltaTerm",
-    "DistributionExpr",
-    "PseudoFunction",
-    "RadialSeries",
-    "from_u",
-    "NotRadialSolution",
-    "PhysicalUnits",
-    "PotentialModel",
-    "fold_y00",
-    "hamiltonian_apply",
-    "laplacian",
-    "laplacian_power",
-    "q_s",
-    "q_sl",
-    "radial_operator",
-    "FreeParameterSetToZero",
-    "FrobeniusResult",
-    "LogObstruction",
-    "frobenius",
-    "indicial_roots",
-    "normalizable_at_origin",
-    "radial_residuals",
-    "EquationForm",
-    "Verdict",
-    "VerdictKind",
-    "classify_solution",
-    "q_nonvanishing",
-    "EULER_GAMMA",
-    "TestFunction",
-    "angular_moment",
-    "finite_part_closed_form",
-    "finite_part_integral",
-    "pair_delta",
-    "pair_pseudofunction",
-    "scalar_to_float",
-    "solid_harmonic",
-    "testfn_laplacian",
-    "verify_laplacian_identity",
+    *coeffs.__all__,
+    *pseudofunction.__all__,
+    *distlap.__all__,
+    *radial.__all__,
+    *classify.__all__,
+    *oracle.__all__,
 ]

@@ -162,7 +162,8 @@ def build_spec(config: dict, overrides: dict) -> ProblemSpec:
     """Parse and check config-file fields, overridden by flags, into a ProblemSpec.
 
     Flag values are text like config values and pass the same parsers; a bad
-    value or an unknown key raises ConfigError("field <key>: ...").
+    value or an unknown key raises ConfigError("field <key>: ..."), and
+    |mu| > ell raises it for field mu.
     """
     merged = {**config, **{k: v for k, v in overrides.items() if v is not None}}
     mode = str(merged.pop("mode", "exact"))
@@ -185,7 +186,12 @@ def build_spec(config: dict, overrides: dict) -> ProblemSpec:
     v_minus1 = poly.pop(-1, 0)
     degree = max(poly) + 1 if poly else 0
     v = tuple(poly.get(j, Fraction(0) if mode == "exact" else 0.0) for j in range(degree))
-    return ProblemSpec(potential=PotentialModel(v_minus1, v), **fields)
+    spec = ProblemSpec(potential=PotentialModel(v_minus1, v), **fields)
+    try:  # |mu| <= ell, whether each came from a flag, the config or the default
+        AngularLabel(spec.ell, spec.mu)
+    except ValueError as exc:
+        raise ConfigError(f"field mu: {exc}") from None
+    return spec
 
 
 # ---------------------------------------------------------------------

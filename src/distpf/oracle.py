@@ -47,8 +47,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffs import ExactScalar, _double_factorial
-from .distlap import laplacian
-from .pseudofunction import DeltaTerm, PseudoFunction
+from .distlap import _integral_exponent, laplacian
+from .pseudofunction import AngularLabel, DeltaTerm, PseudoFunction
 
 __all__ = [
     "EULER_GAMMA",
@@ -296,9 +296,8 @@ def solid_harmonic(ell: int, mu: int) -> tuple[Fraction | None, dict]:
     moments.  The ell = 0 entry is the constant 1 (bare radial convention),
     not the normalised harmonic.
     """
+    AngularLabel(ell, mu)  # raises on a bad label
     m = abs(mu)
-    if m > ell:
-        raise ValueError(f"|mu| <= ell violated: ell={ell}, mu={mu}")
     if ell == 0:
         return None, {(0, 0, 0): 1}
     zonal: dict[Monomial, int] = {}  # Pi(z, r^2)
@@ -341,11 +340,9 @@ def pair_pseudofunction(pf: PseudoFunction, phi: TestFunction) -> float:
         return 0.0
     ell, mu = pf.angular.ell, pf.angular.mu
     q, core = solid_harmonic(ell, mu)
-    s = pf.radial.s
-    if isinstance(s, float):
-        if not s.is_integer():
-            raise ValueError("pairing requires an integer leading exponent")
-        s = int(s)
+    s = _integral_exponent(pf.radial.s)
+    if s is None:
+        raise ValueError("pairing requires an integer leading exponent")
 
     prod = _poly_mul(core, phi.poly)
     radial_factors: dict[int, float] = {}
@@ -397,11 +394,17 @@ def verify_laplacian_identity(pf: PseudoFunction, phi: TestFunction) -> float:
     """|<f, lap phi> - <lap f as computed symbolically, phi>|.
 
     The defining property of the distributional Laplacian; any residual
-    beyond float noise indicts the symbolic decomposition.
+    beyond float noise indicts the symbolic decomposition.  An exact
+    coefficient or delta weight beyond the float range raises ValueError.
     """
-    lhs = pair_pseudofunction(pf, testfn_laplacian(phi))
-    expr = laplacian(pf)
-    rhs = pair_pseudofunction(expr.pf_part, phi)
-    for term in expr.delta_part:
-        rhs += pair_delta(term, phi)
+    try:
+        lhs = pair_pseudofunction(pf, testfn_laplacian(phi))
+        expr = laplacian(pf)
+        rhs = pair_pseudofunction(expr.pf_part, phi)
+        for term in expr.delta_part:
+            rhs += pair_delta(term, phi)
+    except OverflowError:  # float() of an exact value beyond the float range
+        raise ValueError(
+            f"pairing at s = {pf.radial.s}, alpha = {phi.alpha} overflows float arithmetic"
+        ) from None
     return abs(lhs - rhs)

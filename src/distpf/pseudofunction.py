@@ -159,8 +159,7 @@ class DeltaTerm:
             raise ValueError("delta term with zero coefficient")
         if self.p < 0:
             raise ValueError(f"p must be nonnegative, got {self.p}")
-        if self.ell < 0 or abs(self.mu) > self.ell:
-            raise ValueError(f"bad angular label ell={self.ell}, mu={self.mu}")
+        AngularLabel(self.ell, self.mu)  # raises on a bad label
         if 2 * self.p < self.ell:
             raise ValueError(
                 f"term with 2p < ell is identically zero (ell={self.ell}, p={self.p})"

@@ -268,6 +268,23 @@ class TestMain:
         assert captured.err.startswith("distpf: finite part F(402, ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "s = 0\ncoeffs = 1e400\n",  # float(a_0) in the pseudofunction pairing
+            "s = -3\ncoeffs = 1e308\nmode = float\n",  # the exact weight of lap(delta)
+        ],
+    )
+    def test_laplacian_verify_pairing_overflow_exit_1(self, tmp_path, capsys, config):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(config)
+        assert main(["laplacian", "--config", str(cfg), "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("distpf: pairing at s = ")
+        assert captured.err.endswith(" overflows float arithmetic\n")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["energy", "v[-1]", "v[0]", "v[2]"])
     def test_non_finite_energy_or_potential_exit_1(self, tmp_path, capsys, field, value):
@@ -330,6 +347,10 @@ class TestMain:
             ("enrgy = 1\n", [], "enrgy"),
             ("", ["--mode", "bad"], "mode"),
             ("hbar2_over_2m = -1\n", [], "hbar2_over_2m"),
+            ("", ["--mu", "1"], "mu"),
+            ("ell = 2\nmu = -3\n", [], "mu"),
+            ("mu = 2\n", ["--ell", "1"], "mu"),
+            ("ell = 3\nmu = 3\n", ["--ell", "2"], "mu"),
         ],
     )
     def test_bad_value_names_its_field_exit_1(self, tmp_path, capsys, config, flags, key):
@@ -340,6 +361,13 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith(f"distpf: config error: field {key}: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["coeffs", "laplacian", "solve", "classify", "verify"])
+    def test_mu_beyond_ell_exit_1_for_every_command(self, capsys, command):
+        assert main([command, "--ell", "2", "--mu", "3", "--order", "2"]) == 1
+        assert capsys.readouterr() == (
+            "", "distpf: config error: field mu: |mu| <= ell violated: ell=2, mu=3\n"
+        )
 
     @pytest.mark.parametrize(
         "word, on",

@@ -7,6 +7,8 @@ float ``radial_residuals`` and of a lenient ``hamiltonian_apply`` result,
 which fixes the order in which float terms are summed.  A third pins the
 exact ``frobenius`` series at a deep order, with a resonance on the
 singular root, and the exact ``radial_residuals`` of a perturbed copy.
+Each ``demos/0N_*.py`` runs in a subprocess, and its stdout must equal
+``demo_0N.txt`` byte for byte.
 
 The stored data lives in ``tests/golden/``.  After an intended output
 change, regenerate it with
@@ -17,12 +19,16 @@ change, regenerate it with
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
 import pytest
 
+import distpf
 from distpf import (
     AngularLabel,
     PhysicalUnits,
@@ -37,6 +43,7 @@ from distpf import (
 from distpf.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("0*_*.py"))
 
 EVEN_V = "v[0] = 1/3\nv[2] = 1/5\nenergy = -1/4\nhbar2_over_2m = 1/2\n"
 EVEN_V_FLOAT = "v[0] = 0.3\nv[2] = 0.2\nenergy = -0.25\nhbar2_over_2m = 1/2\n"
@@ -151,6 +158,16 @@ def deep_exact_cases() -> dict:
 PYTHON_CASES = {"python_reprs": python_cases, "frobenius_exact_deep": deep_exact_cases}
 
 
+def _demo_golden(demo: pathlib.Path) -> pathlib.Path:
+    return GOLDEN_DIR / f"demo_{demo.name[:2]}.txt"
+
+
+def run_demo(demo: pathlib.Path) -> bytes:
+    """The demo's stdout, run against the distpf that this test imports."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(distpf.__file__).parents[1])}
+    return subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, check=True).stdout
+
+
 def _load(name: str):
     return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
 
@@ -168,12 +185,19 @@ def test_deep_exact_golden():
     assert deep_exact_cases() == _load("frobenius_exact_deep")
 
 
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
+def test_demo_golden(demo):
+    assert run_demo(demo) == _demo_golden(demo).read_bytes()
+
+
 def _regenerate():
     GOLDEN_DIR.mkdir(exist_ok=True)
     docs = {name: run_cli_case(*case) for name, case in CLI_CASES.items()}
     docs.update((name, case()) for name, case in PYTHON_CASES.items())
     for name, doc in docs.items():
         (GOLDEN_DIR / f"{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
+    for demo in DEMOS:
+        _demo_golden(demo).write_bytes(run_demo(demo))
 
 
 if __name__ == "__main__":

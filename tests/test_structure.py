@@ -1,9 +1,13 @@
-"""Module structure of distpf: an acyclic import graph, imports at top level only, stdlib only."""
+"""Module structure of distpf: an acyclic import graph, imports at top level only,
+stdlib only, and a package namespace that is the union of the module ``__all__`` lists."""
 
 import ast
 import graphlib
+import importlib
 import pathlib
 import sys
+
+import distpf
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "distpf"
 
@@ -80,3 +84,17 @@ def test_no_unused_imports():
                 continue
             found += [f"{name}.py:{node.lineno}:{b}" for b in bound if b not in used]
     assert found == []
+
+
+def test_package_exports_the_union_of_module_all_lists():
+    """Every module but ``cli`` is star-imported into the package."""
+    owners = {}
+    for name in sorted(_trees().keys() - {"__init__", "cli"}):
+        module = importlib.import_module(f"distpf.{name}")
+        for public in module.__all__:
+            assert public not in owners, f"{public} in {owners[public].__name__} and {name}"
+            assert hasattr(module, public), f"{name}.__all__ names unbound {public}"
+            owners[public] = module
+    assert sorted(distpf.__all__) == sorted(owners)
+    for public, module in owners.items():
+        assert getattr(distpf, public) is getattr(module, public), public
