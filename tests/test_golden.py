@@ -77,6 +77,14 @@ CLI_CASES = {
         "s = -3\ncoeffs = 1.5, 0.25, -1, 0.125\nell = 0\nmu = 0\nmode = float\n",
         ["laplacian", "--verify"],
     ),
+    "laplacian_verify_ell6_exact": (
+        "s = -13\ncoeffs = 1, 0, 2\nell = 6\nmu = -2\n",
+        ["laplacian", "--verify"],
+    ),
+    "laplacian_verify_ell5_float": (
+        "s = -11\ncoeffs = 1.5, 0.25, -1\nell = 5\nmu = 3\nmode = float\n",
+        ["laplacian", "--verify"],
+    ),
     "verify_default": ("", ["verify"]),
 }
 for _ell in range(4):
