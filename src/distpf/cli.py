@@ -120,6 +120,18 @@ def _finite(text: str, mode: str):
     return number
 
 
+def _units(text: str, mode: str) -> PhysicalUnits:
+    units = PhysicalUnits(_number(text, "exact"))
+    if mode == "float":  # the float recurrence divides by float(hbar^2/2m)
+        try:
+            kappa = float(units.hbar2_over_2m)
+        except OverflowError:
+            kappa = math.inf
+        if not 0 < kappa < math.inf:
+            raise ValueError(f"must convert to a positive finite float in float mode, got {text!r}")
+    return units
+
+
 def _integer(text: str, least: int | None = None) -> int:
     try:
         n = int(text)
@@ -147,7 +159,7 @@ _FIELDS = {
     "energy": _finite,
     "root": lambda text, mode: _choice(text, ("regular", "singular", "both")),
     "order": lambda text, mode: _integer(text, least=1),
-    "hbar2_over_2m": lambda text, mode: PhysicalUnits(_number(text, "exact")),
+    "hbar2_over_2m": _units,
     "tol": lambda text, mode: _number(text, "float"),
     "verify": lambda text, mode: _choice(text.lower(), _ON + _OFF) in _ON,
     "s": lambda text, mode: _finite(text, mode) if mode == "float" else _integer(text),
@@ -385,20 +397,23 @@ def _residual_grid(cases, tol: float):
         {(0, 0, 0): Fraction(1), (1, 0, 0): Fraction(1)},
         {(2, 0, 0): Fraction(1), (0, 1, 1): Fraction(-2), (0, 0, 0): Fraction(3)},
     ]
+    phis = [
+        (str(alpha), i, TestFunction.from_poly(poly, alpha))
+        for alpha in (Fraction(1, 2), Fraction(1), Fraction(2))
+        for i, poly in enumerate(polys)
+    ]
     for pf in cases:
-        for alpha in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            for i, poly in enumerate(polys):
-                phi = TestFunction.from_poly(poly, alpha)
-                rows.append(
-                    {
-                        "s": pf.radial.s,
-                        "ell": pf.angular.ell,
-                        "mu": pf.angular.mu,
-                        "alpha": str(alpha),
-                        "poly": i,
-                        "residual": verify_laplacian_identity(pf, phi),
-                    }
-                )
+        for alpha, i, phi in phis:
+            rows.append(
+                {
+                    "s": pf.radial.s,
+                    "ell": pf.angular.ell,
+                    "mu": pf.angular.mu,
+                    "alpha": alpha,
+                    "poly": i,
+                    "residual": verify_laplacian_identity(pf, phi),
+                }
+            )
     residuals = [row["residual"] for row in rows]
     worst = math.nan if any(map(math.isnan, residuals)) else max(residuals, default=0.0)
     return rows, worst, 0 if worst <= tol else 3

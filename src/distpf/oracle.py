@@ -30,7 +30,13 @@ beyond float noise means the symbolic delta weights are wrong.
 
 Verification is strictly one-way: the symbolic layer never consumes
 anything computed here.  All functions are pure, so grids of checks can
-run in any order or in parallel.
+run in any order or in parallel.  A grid pairs few distinct inputs many
+times, so two bounded caches share the work between pairings.
+``_sphere_terms`` keeps, per harmonic label and test function, the
+monomials of core * P with a nonzero sphere moment; both pairings read
+it.  ``_laplacian`` keeps the engine's decomposition per pseudofunction.
+Its key carries the mode: an exact and a float series with equal values
+compare and hash equal, and each must be paired with its own Laplacian.
 
 Conventions: an ell = 0 pseudofunction is paired as the bare radial
 function (angular factor 1, contributing the full 4*pi sphere moment), and
@@ -131,6 +137,11 @@ class TestFunction:
             raise ValueError("Gaussian width alpha must be positive")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "terms", _poly_canonical(dict(self.terms)))
+        # Hashed once: cache lookups would otherwise rehash every Fraction.
+        object.__setattr__(self, "_hash", hash((self.terms, alpha)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_poly(poly: dict, alpha) -> "TestFunction":
@@ -327,6 +338,22 @@ def _harmonic_scale(q: Fraction | None) -> float:
 # ---------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _sphere_terms(ell: int, mu: int, phi: TestFunction) -> tuple:
+    """The monomials of core * P with a nonzero sphere moment, in product order.
+
+    Each entry is (degree, exact coefficient c, moment / pi,
+    float(c) * float(moment)).
+    """
+    out = []
+    for (a, b, c), coef in _poly_mul(solid_harmonic(ell, mu)[1], phi.poly).items():
+        moment = angular_moment(a, b, c)
+        if not moment.is_zero:
+            weight = float(coef) * scalar_to_float(moment)
+            out.append((a + b + c, coef, moment.as_single_term()[1], weight))
+    return tuple(out)
+
+
 def pair_pseudofunction(pf: PseudoFunction, phi: TestFunction) -> float:
     """<Pf.f, phi> for f = r^s series * (angular factor).
 
@@ -339,12 +366,11 @@ def pair_pseudofunction(pf: PseudoFunction, phi: TestFunction) -> float:
     if pf.is_zero:
         return 0.0
     ell, mu = pf.angular.ell, pf.angular.mu
-    q, core = solid_harmonic(ell, mu)
     s = _integral_exponent(pf.radial.s)
     if s is None:
         raise ValueError("pairing requires an integer leading exponent")
 
-    prod = _poly_mul(core, phi.poly)
+    terms = _sphere_terms(ell, mu, phi)
     radial_factors: dict[int, float] = {}
     total = 0.0
     for k, a in enumerate(pf.radial.coeffs):
@@ -352,16 +378,13 @@ def pair_pseudofunction(pf: PseudoFunction, phi: TestFunction) -> float:
             continue
         base = s + k - ell + 2
         contrib = 0.0
-        for (ax, ay, az), c in prod.items():
-            mom = angular_moment(ax, ay, az)
-            if mom.is_zero:
-                continue
-            power = base + ax + ay + az
+        for degree, _, _, weight in terms:
+            power = base + degree
             if power not in radial_factors:
                 radial_factors[power] = finite_part_integral(power, phi.alpha)
-            contrib += float(c) * scalar_to_float(mom) * radial_factors[power]
+            contrib += weight * radial_factors[power]
         total += float(a) * contrib
-    return total * _harmonic_scale(q)
+    return total * _harmonic_scale(solid_harmonic(ell, mu)[0])
 
 
 def pair_delta(term: DeltaTerm, phi: TestFunction) -> float:
@@ -379,15 +402,20 @@ def pair_delta(term: DeltaTerm, phi: TestFunction) -> float:
     over even a, b, c.  The sum is exact; the only float rounding is the
     final conversion (so pairing a bare delta returns phi(0) to the last bit).
     """
-    q, core = solid_harmonic(term.ell, term.mu)
     p, alpha = term.p, phi.alpha
     sphere = Fraction(0)  # the sphere integral of the Taylor part, over pi
-    for (a, b, c), coef in _poly_mul(core, phi.poly).items():
-        j = p - (a + b + c) // 2
-        if j >= 0 and (moment := angular_moment(a, b, c)):
-            sphere += coef * (-alpha) ** j / math.factorial(j) * moment.as_single_term()[1]
+    for degree, coef, moment, _ in _sphere_terms(term.ell, term.mu, phi):
+        j = p - degree // 2
+        if j >= 0:
+            sphere += coef * (-alpha) ** j / math.factorial(j) * moment
     exact = term.coefficient * (Fraction(math.factorial(2 * p + 1), 4) * sphere)
-    return scalar_to_float(exact) * _harmonic_scale(q)
+    return scalar_to_float(exact) * _harmonic_scale(solid_harmonic(term.ell, term.mu)[0])
+
+
+@lru_cache(maxsize=64)
+def _laplacian(pf: PseudoFunction, exact: bool):
+    """``laplacian(pf)``, shared by the pairings of one case; see the module notes."""
+    return laplacian(pf)
 
 
 def verify_laplacian_identity(pf: PseudoFunction, phi: TestFunction) -> float:
@@ -399,7 +427,7 @@ def verify_laplacian_identity(pf: PseudoFunction, phi: TestFunction) -> float:
     """
     try:
         lhs = pair_pseudofunction(pf, testfn_laplacian(phi))
-        expr = laplacian(pf)
+        expr = _laplacian(pf, pf.radial.is_exact)
         rhs = pair_pseudofunction(expr.pf_part, phi)
         for term in expr.delta_part:
             rhs += pair_delta(term, phi)

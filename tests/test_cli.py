@@ -407,6 +407,18 @@ class TestMain:
         assert err.startswith("distpf: config error: field hbar2_over_2m")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["solve", "classify"])
+    @pytest.mark.parametrize("value", ["1e400", "1e-400"])
+    def test_float_hbar_outside_float_range_exit_1(self, capsys, command, value):
+        argv = [command, "--hbar2-over-2m", value, "--energy", "1"]
+        assert main([*argv, "--mode", "float"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "distpf: config error: field hbar2_over_2m: must convert to a positive finite"
+            f" float in float mode, got '{value}'\n",
+        )
+        assert main(argv) == 0  # exact mode never converts it
+
     def test_missing_json_directory_exit_1(self, tmp_path, capsys):
         out_json = tmp_path / "missing" / "doc.json"
         assert main(["classify", "--json", str(out_json)]) == 1
@@ -444,7 +456,7 @@ _FIELD_TEXTS = {
     "energy": ["0", "-1", "1/3", "-0.25", "nan", "-inf", "1/0", "x"],
     "root": ["regular", "singular", "both", "sideways"],
     "order": ["1", "8", "60", "0", "-3", "2.5"],
-    "hbar2_over_2m": ["1", "3/2", "0.5", "-1", "0", "1/0"],
+    "hbar2_over_2m": ["1", "3/2", "0.5", "-1", "0", "1/0", "1e400", "1e-400"],
     "tol": ["1e-8", "0", "-1", "nan", "inf", "abc"],
     "verify": ["yes", "off", "1", "FALSE", "maybe", ""],
     "s": ["-3", "-1", "0", "2", "-13", "1.5", "nan", "-inf", "x"],

@@ -28,6 +28,7 @@ from distpf import (
     verify_laplacian_identity,
 )
 from distpf import oracle
+from distpf.cli import main
 from distpf.oracle import _harmonic_scale, _poly_laplacian, _poly_mul
 
 PI = math.pi
@@ -396,6 +397,117 @@ class TestPairDelta:
         assert pair_delta(term, phi) != 0.0
         # ... but pairing it against a pure even function gives zero
         assert pair_delta(term, TestFunction.gaussian(1)) == 0.0
+
+
+def _pair_pseudofunction_reference(pf, phi):
+    """pair_pseudofunction as one loop over core * P per call, with no cache."""
+    q, core = solid_harmonic(pf.angular.ell, pf.angular.mu)
+    prod = _poly_mul(core, phi.poly)
+    radial_factors = {}
+    total = 0.0
+    for k, a in enumerate(pf.radial.coeffs):
+        if a == 0:
+            continue
+        base = int(pf.radial.s) + k - pf.angular.ell + 2
+        contrib = 0.0
+        for (ax, ay, az), c in prod.items():
+            mom = angular_moment(ax, ay, az)
+            if mom.is_zero:
+                continue
+            power = base + ax + ay + az
+            if power not in radial_factors:
+                radial_factors[power] = finite_part_integral(power, phi.alpha)
+            contrib += float(c) * scalar_to_float(mom) * radial_factors[power]
+        total += float(a) * contrib
+    return total * _harmonic_scale(q)
+
+
+def _pair_delta_reference(term, phi):
+    """pair_delta as one loop over core * P per call, with no cache."""
+    q, core = solid_harmonic(term.ell, term.mu)
+    sphere = Fraction(0)
+    for (a, b, c), coef in _poly_mul(core, phi.poly).items():
+        j = term.p - (a + b + c) // 2
+        if j >= 0 and (moment := angular_moment(a, b, c)):
+            sphere += coef * (-phi.alpha) ** j / math.factorial(j) * moment.as_single_term()[1]
+    exact = term.coefficient * (Fraction(math.factorial(2 * term.p + 1), 4) * sphere)
+    return scalar_to_float(exact) * _harmonic_scale(q)
+
+
+@st.composite
+def cached_pairings(draw):
+    ell = draw(st.integers(min_value=0, max_value=6))
+    mu = draw(st.integers(min_value=-ell, max_value=ell))
+    s = draw(st.integers(min_value=-16, max_value=3))
+    if draw(st.booleans()):
+        coeff = rationals
+    else:
+        coeff = st.floats(min_value=-8, max_value=8, allow_nan=False)
+        s = float(s) if draw(st.booleans()) else s
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=4).filter(lambda c: c[0] != 0))
+    pf = PseudoFunction(RadialSeries(s, tuple(coeffs)), AngularLabel(ell, mu))
+    monomials = st.tuples(*[st.integers(min_value=0, max_value=4)] * 3).filter(
+        lambda mono: sum(mono) <= 4
+    )
+    poly = draw(st.dictionaries(monomials, rationals, min_size=1, max_size=5))
+    alpha = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3, 7)]))
+    p = draw(st.integers(min_value=-(-ell // 2), max_value=ell + 4))
+    term = DeltaTerm(ExactScalar.rational(draw(rationals.filter(bool))), ell, mu, p)
+    return pf, TestFunction.from_poly(poly, alpha), term
+
+
+class TestPairingCaches:
+    @settings(max_examples=200, deadline=None)
+    @given(cached_pairings())
+    def test_pairings_bit_identical_to_uncached_loops(self, case):
+        pf, phi, term = case
+        for f in (phi, testfn_laplacian(phi)):
+            assert pair_pseudofunction(pf, f) == _pair_pseudofunction_reference(pf, f)
+            for t in (term, *laplacian(pf).delta_part):
+                assert pair_delta(t, f) == _pair_delta_reference(t, f)
+
+    @staticmethod
+    def _count_calls(monkeypatch, name, calls):
+        fn = getattr(oracle, name)
+
+        def counting(*args):
+            calls.append((name, args))
+            return fn(*args)
+
+        monkeypatch.setattr(oracle, name, counting)
+
+    def test_verify_grid_work_counts(self, monkeypatch, capsys):
+        for cached in (oracle._laplacian, oracle._sphere_terms, solid_harmonic):
+            cached.cache_clear()
+        calls = []
+        self._count_calls(monkeypatch, "laplacian", calls)
+        self._count_calls(monkeypatch, "_poly_mul", calls)
+        assert main(["verify"]) == 0
+        capsys.readouterr()
+        names = [name for name, _ in calls]
+        assert names.count("laplacian") == 36  # one per case, not one per pairing
+        assert oracle._sphere_terms.cache_info().misses <= 72
+        assert names.count("_poly_mul") <= 82
+
+    def test_laplacian_cache_keeps_modes_apart(self, monkeypatch):
+        label = AngularLabel(1, 1)
+        exact = PseudoFunction(RadialSeries.exact(-6, (1, 1)), label)
+        flt = PseudoFunction(RadialSeries(-6.0, (1.0, 1.0)), label)
+        assert exact == flt and hash(exact) == hash(flt)
+        oracle._laplacian.cache_clear()
+        calls = []
+        self._count_calls(monkeypatch, "laplacian", calls)
+        phi = TestFunction.gaussian(1)
+        for pf in (exact, flt, exact, flt):
+            verify_laplacian_identity(pf, phi)
+        assert [args[0].radial.is_exact for _, args in calls] == [True, False]
+        assert oracle._laplacian(flt, False).pf_part.radial.is_exact is False
+
+    def test_test_function_hash_ignores_insertion_order(self):
+        a = TestFunction.from_poly({(0, 0, 0): 1, (2, 0, 0): Fraction(1, 3), (0, 1, 1): -1}, 1)
+        b = TestFunction.from_poly({(0, 1, 1): -1, (2, 0, 0): Fraction(1, 3), (0, 0, 0): 1}, 1)
+        assert a == b and hash(a) == hash(b) == hash((a.terms, a.alpha))
+        assert a != TestFunction.from_poly(a.poly, 2)
 
 
 class TestLaplacianIdentity:
