@@ -163,7 +163,7 @@ _FIELDS = {
     "tol": lambda text, mode: _number(text, "float"),
     "verify": lambda text, mode: _choice(text.lower(), _ON + _OFF) in _ON,
     "s": lambda text, mode: _finite(text, mode) if mode == "float" else _integer(text),
-    "coeffs": lambda text, mode: tuple(_number(p.strip(), mode) for p in text.split(",") if p.strip()),
+    "coeffs": lambda text, mode: tuple(_finite(p.strip(), mode) for p in text.split(",") if p.strip()),
 }
 
 # The fields that a value flag can also set: --ell, ..., --hbar2-over-2m.

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 
 from .coeffs import ExactScalar
 
@@ -59,14 +61,17 @@ class RadialSeries:
             object.__setattr__(self, "s", 0)
             object.__setattr__(self, "coeffs", ())
             return
-        exact = not any(isinstance(a, float) for a in coeffs)
+        # One C-level pass; a tuple of plain Fractions or plain floats is kept as is.
+        kinds = set(map(type, coeffs))
+        exact = kinds == {Fraction} or not any(isinstance(a, float) for a in coeffs)
         if exact:
-            coeffs = tuple(a if type(a) is Fraction else Fraction(a) for a in coeffs)
+            if kinds != {Fraction}:
+                coeffs = tuple(a if type(a) is Fraction else Fraction(a) for a in coeffs)
             if not isinstance(self.s, int):
                 raise ValueError(
                     "exact-mode series require an integer leading exponent"
                 )
-        else:
+        elif kinds != {float}:
             coeffs = tuple(float(a) for a in coeffs)
         if coeffs[0] == 0:
             raise ValueError("leading coefficient must be nonzero")
@@ -111,7 +116,7 @@ class RadialSeries:
     def scaled(self, factor) -> "RadialSeries":
         if self.is_zero or factor == 0:
             return RadialSeries.zero()
-        return RadialSeries(self.s, tuple(a * factor for a in self.coeffs))
+        return RadialSeries(self.s, tuple(map(mul, self.coeffs, repeat(factor))))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from operator import mul
 
 from .pseudofunction import RadialSeries
@@ -203,6 +203,9 @@ def frobenius(
                 rhs = rhs * f[k - d] + c[d - 1] * b[k - d]
         else:
             rhs = _row_sum(w, a, k)
+            # Fail closed: an inf or nan row (float overflow) would also fake an obstruction.
+            if not isfinite(rhs):
+                raise ValueError(f"float recurrence is not finite at order {k} (row value {rhs})")
         D = _indicial(k, root, ell)
         if D == 0:
             if rhs != 0:
@@ -221,6 +224,10 @@ def frobenius(
         root_used=root,
         resonance_report=resonance,
     )
+
+
+# Every vanishing exact residual row is this one shared (immutable) Fraction.
+_ZERO = Fraction(0)
 
 
 def radial_residuals(
@@ -245,10 +252,13 @@ def radial_residuals(
         K, c, L = _integer_row(w, kappa)
         M = lcm(*(x.denominator for x in a))
         n = [x.numerator * (M // x.denominator) for x in a]
-        return [
-            Fraction(sum(map(mul, c, reversed(n[:m]))) - K * _indicial(m, s, ell) * n[m], L * M)
-            for m in range(len(n))
-        ]
+        LM, J = L * M, len(c)
+        rows = []
+        for m in range(len(n)):
+            lags = reversed(n[max(m - J, 0):m])  # n_(m-1), ..., n_(m-J): row m's window
+            x = sum(map(mul, c, lags)) - K * _indicial(m, s, ell) * n[m]
+            rows.append(Fraction(x, LM) if x else _ZERO)
+        return rows
     # Float rows: int / int rounds -kappa D(m) once, exactly as float(Fraction) would.
     return [
         _row_sum(w, a, m, -(kappa.numerator * _indicial(m, s, ell)) / kappa.denominator * a[m])

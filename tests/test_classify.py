@@ -1,7 +1,10 @@
 """Verdicts: which equation a radial series solution actually satisfies."""
 
+from collections import Counter
 from fractions import Fraction
 
+import distpf.classify
+import distpf.radial
 from distpf import (
     AngularLabel,
     EquationForm,
@@ -141,3 +144,24 @@ class TestClassifySolution:
             assert v.boundary_condition_met == (v.u_at_origin == 0)
             seen_both.add(v.kind)
         assert seen_both == {VerdictKind.SOLVES_SE, VerdictKind.SOLVES_MODIFIED_SE}
+
+
+def test_layers_are_looked_up_where_the_benchmark_wraps_them(monkeypatch):
+    # perfbench times radial_residuals and frobenius by replacing these module
+    # attributes; a caller that bound them another way would read 0 there.
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in ((distpf.radial, "radial_residuals"), (distpf.classify, "frobenius")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    V, E = PotentialModel(-2, (Fraction(3, 10),)), Fraction(-1, 2)
+    verdict = classify_solution(V, 1, 0, E, 1, 12)
+    assert calls == {"frobenius": 1}
+    hamiltonian_apply(from_u(verdict.u_series, AngularLabel(1, 0)), V, E, strict=True)
+    assert calls == {"frobenius": 1, "radial_residuals": 1}

@@ -243,10 +243,14 @@ class TestMain:
         assert main(["verify", "--config", str(cfg), "--tol", "nan"]) == 3
 
     def test_laplacian_verify_nan_coefficient_exit_3(self, tmp_path, capsys):
+        # The config parser rejects a nan coefficient (exit 1); a spec built in
+        # code still reaches the verification gate, which fails closed on NaN.
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("s = -1\ncoeffs = 1, nan\nmode = float\n")
-        assert main(["laplacian", "--config", str(cfg), "--verify"]) == 3
-        assert "residual: max nan" in capsys.readouterr().out
+        assert main(["laplacian", "--config", str(cfg), "--verify"]) == 1
+        spec = ProblemSpec(mode="float", s=-1.0, coeffs=(1.0, float("nan")), verify=True)
+        code, report, _ = run("laplacian", spec)
+        assert code == 3 and "residual: max nan" in report
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_coefficient_on_singular_rung_exit_1(self, tmp_path, capsys, value):
@@ -255,8 +259,10 @@ class TestMain:
         assert main(["laplacian", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("distpf: coefficient a_0 = ")
-        assert captured.err.count("\n") == 1
+        assert captured.err == f"distpf: config error: field coeffs: must be finite, got {value!r}\n"
+        # Past the parser, the singular rung still refuses the coefficient.
+        with pytest.raises(ValueError, match="^coefficient a_0 = "):
+            run("laplacian", ProblemSpec(mode="float", s=-1.0, coeffs=(float(value),)))
 
     def test_laplacian_verify_out_of_float_range_exit_1(self, tmp_path, capsys):
         # Pairing r^400 needs F(402, alpha), beyond the float range.
@@ -419,6 +425,29 @@ class TestMain:
         )
         assert main(argv) == 0  # exact mode never converts it
 
+    @pytest.mark.parametrize(
+        "argv, order",
+        [
+            (["solve", "--hbar2-over-2m", "1e-320", "--energy", "1"], 2),
+            (["classify", "--hbar2-over-2m", "1e-320", "--energy", "1"], 2),
+            # The nan row used to read as a log obstruction at order 3 (exit 2).
+            (["classify", "--hbar2-over-2m", "1e-320", "--energy", "1", "--ell", "1", "--root", "singular"], 2),
+            (["solve", "--energy", "1e300", "--order", "40"], 4),
+        ],
+    )
+    def test_float_recurrence_overflow_exit_1(self, capsys, argv, order):
+        assert main([*argv, "--mode", "float"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"distpf: float recurrence is not finite at order {order} ")
+
+    @pytest.mark.parametrize("text, bad", [("inf, 1", "inf"), ("1, nan", "nan"), ("1e400", "1e400")])
+    def test_non_finite_float_coeffs_exit_1(self, tmp_path, capsys, text, bad):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"mode = float\ns = 0\ncoeffs = {text}\n")
+        assert main(["laplacian", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"distpf: config error: field coeffs: must be finite, got {bad!r}\n")
+
     def test_missing_json_directory_exit_1(self, tmp_path, capsys):
         out_json = tmp_path / "missing" / "doc.json"
         assert main(["classify", "--json", str(out_json)]) == 1
@@ -453,14 +482,14 @@ _FIELD_TEXTS = {
     "mode": ["exact", "float", "Float"],
     "ell": ["0", "1", "3", "-1", "x", "2.5"],
     "mu": ["0", "1", "-1", "4", "x"],
-    "energy": ["0", "-1", "1/3", "-0.25", "nan", "-inf", "1/0", "x"],
+    "energy": ["0", "-1", "1/3", "-0.25", "nan", "-inf", "1/0", "x", "1e300"],
     "root": ["regular", "singular", "both", "sideways"],
     "order": ["1", "8", "60", "0", "-3", "2.5"],
-    "hbar2_over_2m": ["1", "3/2", "0.5", "-1", "0", "1/0", "1e400", "1e-400"],
+    "hbar2_over_2m": ["1", "3/2", "0.5", "-1", "0", "1/0", "1e400", "1e-400", "1e-320"],
     "tol": ["1e-8", "0", "-1", "nan", "inf", "abc"],
     "verify": ["yes", "off", "1", "FALSE", "maybe", ""],
     "s": ["-3", "-1", "0", "2", "-13", "1.5", "nan", "-inf", "x"],
-    "coeffs": ["1", "1, 0, 2", "1/2, -1", "1, nan", "inf", "0", "x", ""],
+    "coeffs": ["1", "1, 0, 2", "1/2, -1", "1, nan", "inf", "nan", "-inf, 1", "1e400", "0", "x", ""],
     "v[-1]": ["-2", "0.3", "nan"],
     "v[0]": ["1/3", "-0.25", "x"],
     "v[2]": ["1/5", "inf"],

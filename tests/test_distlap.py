@@ -337,3 +337,32 @@ class TestHamiltonianApply:
         expr = hamiltonian_apply(pf, PotentialModel.zero(), Fraction(0))
         assert (expr.pf_part.radial.s, expr.pf_part.radial.coeffs) == (-1, (-2,))
         assert expr.delta_part.is_empty
+
+    def test_strict_apply_builds_one_fraction_per_added_coefficient(self, monkeypatch):
+        # The E * Pf product is the only Fraction an extra coefficient costs:
+        # a vanishing residual row is one shared zero, not a new Fraction.
+        V = PotentialModel(-2, (Fraction(3, 10), Fraction(7, 10)))
+        E, units = Fraction(-1, 2), PhysicalUnits(Fraction(3, 2))
+        new, made = Fraction.__new__, []
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        def built(N):
+            pf = from_u(frobenius(V, 1, E, 1, N, units).series, AngularLabel(1, 0))
+            made.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__new__", staticmethod(counting_new))
+                if "_from_coprime_ints" in vars(Fraction):  # Python >= 3.12 builds products here
+                    coprime = vars(Fraction)["_from_coprime_ints"].__func__
+                    patch.setattr(
+                        Fraction,
+                        "_from_coprime_ints",
+                        classmethod(lambda cls, n, d: made.append(cls) or coprime(cls, n, d)),
+                    )
+                expr = hamiltonian_apply(pf, V, E, units, strict=True)
+            assert expr.pf_part.radial == pf.radial.scaled(E)
+            return len(made)
+
+        assert built(160) - built(80) == 80

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distpf import (
@@ -49,6 +49,103 @@ class TestRadialSeries:
 
     def test_trailing_zeros_are_kept(self):
         assert RadialSeries.exact(0, (1, 0)).order == 1
+
+
+# -- the per-element normalisation RadialSeries used before its type fast path ----
+
+
+def _reference_normalise(s, coeffs):
+    """(coeffs, is_exact) as RadialSeries normalises a nonempty tuple, element by element."""
+    exact = not any(isinstance(a, float) for a in coeffs)
+    if exact:
+        coeffs = tuple(a if type(a) is Fraction else Fraction(a) for a in coeffs)
+        if not isinstance(s, int):
+            raise ValueError("exact-mode series require an integer leading exponent")
+    else:
+        coeffs = tuple(float(a) for a in coeffs)
+    if coeffs[0] == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    return coeffs, exact
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+_small = st.integers(min_value=-3, max_value=3)
+# No subnormal-sized values: a product that underflows to 0 would be a leading zero.
+_reals = st.floats(min_value=-3, max_value=3).filter(lambda x: x == 0 or abs(x) > 1e-6)
+_elements = st.one_of(
+    _small,
+    st.booleans(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.floats(min_value=-3, max_value=3),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0]),
+    _small.map(_Int),
+    _small.map(_Fraction),
+    st.floats(min_value=-3, max_value=3).map(_Float),
+)
+
+
+def _typed(coeffs):
+    """Each element's exact type and repr, which also tells nan and -0.0 apart."""
+    return [(type(a), repr(a)) for a in coeffs]
+
+
+class TestRadialSeriesNormalisation:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=st.one_of(st.integers(min_value=-5, max_value=5), st.sampled_from([0.5, -1.5, 2.0])),
+        coeffs=st.one_of(
+            st.lists(_elements, min_size=1, max_size=6),
+            st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=1, max_size=6),
+            st.lists(st.floats(min_value=-3, max_value=3), min_size=1, max_size=6),
+        ),
+        as_list=st.booleans(),
+    )
+    def test_matches_per_element_reference(self, s, coeffs, as_list):
+        given_coeffs = list(coeffs) if as_list else tuple(coeffs)
+        try:
+            expected, exact = _reference_normalise(s, tuple(coeffs))
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as err:
+                RadialSeries(s, given_coeffs)
+            assert str(err.value) == str(exc)
+            return
+        series = RadialSeries(s, given_coeffs)
+        assert _typed(series.coeffs) == _typed(expected)
+        assert series.is_exact == exact and series.s == s
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        coeffs=st.one_of(
+            st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=1, max_size=6),
+            st.lists(_reals, min_size=1, max_size=6),
+        ),
+        factor=st.one_of(
+            _small,
+            st.fractions(min_value=-3, max_value=3, max_denominator=5),
+            _reals,
+        ),
+    )
+    def test_scaled_is_the_per_element_product(self, coeffs, factor):
+        if coeffs[0] == 0:
+            coeffs[0] = type(coeffs[0])(1)
+        series = RadialSeries(-2, tuple(coeffs))
+        got = series.scaled(factor)
+        if factor == 0:
+            assert got.is_zero
+            return
+        expected = RadialSeries(-2, tuple(a * factor for a in series.coeffs))
+        assert got == expected and _typed(got.coeffs) == _typed(expected.coeffs)
 
 
 class TestAngularLabel:

@@ -83,6 +83,18 @@ class TestFrobenius:
         assert not res.series.is_exact
         assert res.series.coeffs[2] == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize(
+        "kappa, E, ell, root, N, order",
+        [
+            ("1e-320", 1.0, 0, 0, 10, 2),  # E / kappa overflows
+            ("1e-320", 1.0, 1, -2, 6, 2),  # a nan row must not read as a log obstruction at 3
+            ("1", 1e300, 0, 0, 40, 4),  # the coefficients overflow
+        ],
+    )
+    def test_float_overflow_fails_closed(self, kappa, E, ell, root, N, order):
+        with pytest.raises(ValueError, match=f"^float recurrence is not finite at order {order} "):
+            frobenius(PotentialModel.zero(), ell, E, root, N, PhysicalUnits(kappa))
+
     def test_units_rescale_equation(self):
         # with kappa = 1/2 the free equation is u'' = -2E u
         units = PhysicalUnits(Fraction(1, 2))
@@ -236,6 +248,25 @@ class TestIntegerRecurrence:
         assume(a[0] != 0)
         # shift != 0 moves the exponent off the indicial roots, so row 0 is nonzero too.
         s = root + shift
+        got = radial_residuals(V, ell, E, PhysicalUnits(kappa), RadialSeries(s, tuple(a)))
+        assert got == reference_residuals(V, ell, E, Fraction(kappa), s, a)
+        assert all(type(r) is Fraction for r in got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rationals,
+        st.lists(rationals, min_size=4, max_size=8),
+        st.integers(min_value=0, max_value=3),
+        rationals,
+        st.sampled_from([1, Fraction(3, 2), Fraction(2, 7)]),
+        st.integers(min_value=-6, max_value=4),
+        st.lists(rationals, min_size=1, max_size=4),
+    )
+    def test_residuals_of_series_shorter_than_the_lags(self, vm1, v, ell, E, kappa, s, a):
+        # Up to 9 lag weights against at most 4 coefficients: every row's window is cut short.
+        assume(a[0] != 0)
+        V = PotentialModel(vm1, tuple(v))
+        a = [Fraction(x) for x in a]
         got = radial_residuals(V, ell, E, PhysicalUnits(kappa), RadialSeries(s, tuple(a)))
         assert got == reference_residuals(V, ell, E, Fraction(kappa), s, a)
         assert all(type(r) is Fraction for r in got)
