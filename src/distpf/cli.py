@@ -1,4 +1,6 @@
-"""Command-line front end and text/JSON serialisation.
+"""usage: distpf COMMAND [--FLAG VALUE | --FLAG=VALUE | --verify]...
+
+Command-line front end and text/JSON serialisation.
 
     distpf coeffs     print the coefficient tables
     distpf laplacian  distributional Laplacian of a configured pseudofunction
@@ -9,9 +11,10 @@
 Problems are described by flags and/or a flat `key = value` config file
 (`#` starts a comment); the potential is written `v[-1] = -2`, `v[0] = 0`
 and so on, the series for `laplacian` as `s = -3` and `coeffs = 1, 0, 2`.
-Flag values are text like config values: `build_spec` parses and checks
-both from one table of fields, and an unknown key or a bad value is
-rejected with one `config error: field <key>: ...` line.
+A flag value passes the same check as the config line of its key, and an
+unknown key or a bad value is rejected with one
+`config error: field <key>: ...` line.  Flag names are exact, and a value
+may start with a minus sign (`--energy -1/4`).
 
 Exit codes: 0 success, 1 bad input, 2 the requested series solution needs
 a logarithm, 3 a verification residual exceeded the tolerance (NaN counts
@@ -25,9 +28,9 @@ bit-identically.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -122,13 +125,11 @@ def _finite(text: str, mode: str):
 
 def _units(text: str, mode: str) -> PhysicalUnits:
     units = PhysicalUnits(_number(text, "exact"))
-    if mode == "float":  # the float recurrence divides by float(hbar^2/2m)
+    if mode == "float":
         try:
-            kappa = float(units.hbar2_over_2m)
-        except OverflowError:
-            kappa = math.inf
-        if not 0 < kappa < math.inf:
-            raise ValueError(f"must convert to a positive finite float in float mode, got {text!r}")
+            units.to_float()
+        except ValueError as exc:
+            raise ValueError(f"{exc}, got {text!r}") from None
     return units
 
 
@@ -169,6 +170,9 @@ _FIELDS = {
 # The fields that a value flag can also set: --ell, ..., --hbar2-over-2m.
 _FLAG_FIELDS = ("ell", "mu", "energy", "root", "order", "hbar2_over_2m", "mode", "tol")
 
+# Every flag that takes one value, with the key its text is filed under.
+_VALUE_FLAGS = {f"--{key.replace('_', '-')}": key for key in ("config", *_FLAG_FIELDS, "json")}
+
 
 def build_spec(config: dict, overrides: dict) -> ProblemSpec:
     """Parse and check config-file fields, overridden by flags, into a ProblemSpec.
@@ -177,7 +181,7 @@ def build_spec(config: dict, overrides: dict) -> ProblemSpec:
     value or an unknown key raises ConfigError("field <key>: ..."), and
     |mu| > ell raises it for field mu.
     """
-    merged = {**config, **{k: v for k, v in overrides.items() if v is not None}}
+    merged = {**config, **overrides}
     mode = str(merged.pop("mode", "exact"))
     fields, poly = {}, {}
     # mode first: the number parsers read it.
@@ -195,10 +199,11 @@ def build_spec(config: dict, overrides: dict) -> ProblemSpec:
                 raise ValueError("unknown key")
         except ValueError as exc:
             raise ConfigError(f"field {key}: {exc}") from None
-    v_minus1 = poly.pop(-1, 0)
+    zero = _number("0", mode)  # a missing energy or v[j] is zero of the mode's kind
+    v_minus1 = poly.pop(-1, zero)
     degree = max(poly) + 1 if poly else 0
-    v = tuple(poly.get(j, Fraction(0) if mode == "exact" else 0.0) for j in range(degree))
-    spec = ProblemSpec(potential=PotentialModel(v_minus1, v), **fields)
+    v = tuple(poly.get(j, zero) for j in range(degree))
+    spec = ProblemSpec(potential=PotentialModel(v_minus1, v), **{"energy": zero, **fields})
     try:  # |mu| <= ell, whether each came from a flag, the config or the default
         AngularLabel(spec.ell, spec.mu)
     except ValueError as exc:
@@ -277,17 +282,11 @@ def parse_expr(doc: dict) -> DistributionExpr:
     return DistributionExpr(parse_pf(doc["pf_part"]), parse_delta_sum(doc["delta_terms"]))
 
 
-def _u0_to_json(u0):
-    if u0 is None:
-        return None
-    return str(u0) if isinstance(u0, Fraction) else u0
-
-
 def serialize_verdict(v: Verdict) -> dict:
     return {
         "kind": v.kind.value,
         "delta_source": serialize_delta_sum(v.delta_source),
-        "u_at_origin": _u0_to_json(v.u_at_origin),
+        "u_at_origin": str(v.u_at_origin) if isinstance(v.u_at_origin, Fraction) else v.u_at_origin,
         "boundary_condition_met": v.boundary_condition_met,
         "normalizable": v.normalizable,
         "citations": [c.value for c in v.equations_cited],
@@ -342,12 +341,7 @@ def _expr_lines(expr: DistributionExpr) -> list[str]:
     label = expr.pf_part.angular
     if label.ell:
         lines[0] += f"  * Y[{label.ell},{label.mu}]"
-    if expr.delta_part.is_empty:
-        lines.append("  delta   : none")
-    else:
-        for t in expr.delta_part:
-            lines.append(f"  delta   : {_delta_text(t)}")
-    return lines
+    return lines + ([f"  delta   : {_delta_text(t)}" for t in expr.delta_part] or ["  delta   : none"])
 
 
 def _roots_for(spec: ProblemSpec) -> list[int]:
@@ -479,11 +473,7 @@ def _cmd_classify(spec: ProblemSpec):
             )
             code = 2
         else:
-            if v.delta_source.is_empty:
-                lines.append("  source  : none")
-            else:
-                for t in v.delta_source:
-                    lines.append(f"  source  : {_delta_text(t)}")
+            lines += [f"  source  : {_delta_text(t)}" for t in v.delta_source] or ["  source  : none"]
             lines.append(f"  u(0)    : {v.u_at_origin if v.u_at_origin is not None else 'divergent'}")
             lines.append(f"  u(0)=0  : {'yes' if v.boundary_condition_met else 'no'}")
             lines.append(f"  normalizable at origin: {'yes' if v.normalizable else 'no'}")
@@ -494,19 +484,16 @@ def _cmd_classify(spec: ProblemSpec):
 
 
 def _default_verify_cases():
-    cases = []
-    for s in range(-6, 3):
-        for ell in range(0, 4):
-            mu = 0 if ell == 0 else 1
-            cases.append(PseudoFunction(RadialSeries.exact(s, (1, 1)), AngularLabel(ell, mu)))
-    return cases
+    return [
+        PseudoFunction(RadialSeries.exact(s, (1, 1)), AngularLabel(ell, min(ell, 1)))
+        for s in range(-6, 3)
+        for ell in range(4)
+    ]
 
 
 def _cmd_verify(spec: ProblemSpec):
-    if spec.s is not None and spec.coeffs:
-        cases = [_require_series(spec)]
-    else:
-        cases = _default_verify_cases()
+    given = spec.s is not None and spec.coeffs
+    cases = [_require_series(spec)] if given else _default_verify_cases()
     rows, worst, code = _residual_grid(cases, spec.tol)
     lines = [f"{'s':>4} {'ell':>4} {'alpha':>6} {'poly':>5} {'residual':>12}"]
     for row in rows:
@@ -550,69 +537,71 @@ def run(command: str, spec: ProblemSpec):
 # ---------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # keep exit code 2 reserved for obstructions
-        print(f"distpf: {message}", file=sys.stderr)
-        raise SystemExit(1)
+def _read_argv(argv: list) -> tuple:
+    """(command, {key: text}) from `COMMAND [--flag VALUE | --flag=VALUE | --verify]...`.
 
-
-# The flags that take one value, kept as text for build_spec to check.
-# argparse reads a token such as -1/4 or -inf after one as an option.
-_VALUE_FLAGS = ("--config", *(f"--{key.replace('_', '-')}" for key in _FLAG_FIELDS), "--json")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="distpf", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        for flag in _VALUE_FLAGS:
-            p.add_argument(flag)
-        p.add_argument("--verify", action="store_const", const="true")
-    return parser
-
-
-def _glue_dash_values(argv: list[str]) -> list[str]:
-    """Rewrite `--flag -VALUE` as `--flag=-VALUE`, which argparse reads as a value."""
-    out: list[str] = []
-    for tok in argv:
-        if out and out[-1] in _VALUE_FLAGS and tok.startswith("-") and not tok.startswith("--"):
-            out[-1] = f"{out[-1]}={tok}"
+    A value flag takes the next token whatever it starts with.  The command
+    is None for -h/--help; a usage error raises ValueError in argparse's words.
+    """
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    command, tokens, flags, unknown = argv[0], iter(argv[1:]), {}, []
+    if command not in _COMMANDS and command not in ("-h", "--help"):
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise ValueError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    for tok in tokens:
+        flag, eq, value = tok.partition("=")
+        if flag in _VALUE_FLAGS:
+            flags[_VALUE_FLAGS[flag]] = value = value if eq else next(tokens, None)
+            if value is None:
+                raise ValueError(f"argument {flag}: expected one argument")
+        elif tok == "--verify":
+            flags["verify"] = "true"
+        elif tok in ("-h", "--help"):
+            return None, {}
         else:
-            out.append(tok)
-    return out
+            unknown.append(tok)
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    return (None if command in ("-h", "--help") else command), flags
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_glue_dash_values(argv))
     # Python >= 3.10.7 caps int <-> str conversion at 4300 digits.
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        if args.json and not Path(args.json).parent.is_dir():
-            raise OSError(f"--json: directory of {args.json!r} does not exist")
-        if args.json and Path(args.json).is_dir():
-            raise OSError(f"--json: {args.json!r} is a directory")
-        config = parse_config(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-        spec = build_spec(config, {key: getattr(args, key) for key in (*_FLAG_FIELDS, "verify")})
+        command, flags = _read_argv(sys.argv[1:] if argv is None else argv)
+        config_path, json_path = flags.pop("config", None), flags.pop("json", None)
+        if json_path and not Path(json_path).parent.is_dir():
+            raise OSError(f"--json: directory of {json_path!r} does not exist")
+        if json_path and Path(json_path).is_dir():
+            raise OSError(f"--json: {json_path!r} is a directory")
+        config = parse_config(Path(config_path).read_text(encoding="utf-8")) if config_path else {}
+        spec = build_spec(config, flags)
         # Every outside value is parsed under the cap; lift it for exact results.
         if digit_limit:
             sys.set_int_max_str_digits(0)
-        code, report, doc = run(args.command, spec)
-    except ConfigError as exc:
-        print(f"distpf: config error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
-        print(f"distpf: {exc}", file=sys.stderr)
+        if command is None:  # -h/--help: flags is empty and spec the default
+            report = f"{__doc__}\nValue flags: {' '.join(_VALUE_FLAGS)}\nSwitches: --verify, -h/--help"
+            code, doc = 0, None
+        else:
+            code, report, doc = run(command, spec)
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+        prefix = "config error: " if isinstance(exc, ConfigError) else ""
+        print(f"distpf: {prefix}{exc}", file=sys.stderr)
         return 1
     finally:
         if digit_limit:
             sys.set_int_max_str_digits(digit_limit)
-    print(report)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    if json_path:  # written first: a reader that closes stdout early still gets it
+        with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
+    try:
+        print(report, flush=True)
+    except BrokenPipeError:  # as in Python's signal docs: no second failure at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -95,6 +95,16 @@ class PhysicalUnits:
         if self.hbar2_over_2m <= 0:
             raise ValueError("hbar^2/2m must be positive")
 
+    def to_float(self) -> float:
+        """hbar^2/2m for the float recurrence; ValueError unless it is a positive finite float."""
+        try:
+            kappa = float(self.hbar2_over_2m)  # 0.0 once it underflows
+        except OverflowError:
+            kappa = 0.0
+        if not kappa:
+            raise ValueError("must convert to a positive finite float in float mode")
+        return kappa
+
 
 class LogObstruction(Exception):
     """No pure power series exists: a logarithmic term would be required."""
@@ -191,7 +201,7 @@ def frobenius(
         K, c, _ = _integer_row(_lag_weights(V, Fraction(E)), units.hbar2_over_2m)
         b, f, Q = [1], [1], 1
     else:
-        kappa = float(units.hbar2_over_2m)
+        kappa = units.to_float()
         vm1, *vpoly = (float(x) / kappa for x in (V.v_minus1, *V.v))
         w = (vm1, (vpoly[0] if vpoly else 0) - float(E) / kappa, *vpoly[1:])
     a = [Fraction(1) if exact else 1.0]

@@ -1,8 +1,11 @@
 """Front end: config parsing, subcommands, exit codes, JSON round trips."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,9 +21,11 @@ from distpf import (
     laplacian,
 )
 from distpf.classify import VerdictKind, classify_solution
+import distpf.cli
 from distpf.cli import (
     _FLAG_FIELDS,
     _VALUE_FLAGS,
+    _read_argv,
     ConfigError,
     ProblemSpec,
     build_spec,
@@ -222,12 +227,83 @@ class TestMain:
         assert captured.err.count("\n") == 1
 
     def test_usage_error_says_what_is_wrong(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["classify", "--energy"])
-        assert err.value.code == 1
+        assert main(["classify", "--energy"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "distpf: argument --energy: expected one argument\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["nope"], "argument command: invalid choice: 'nope' (choose from 'coeffs', 'laplacian',"
+             " 'solve', 'classify', 'verify')"),
+            (["classify", "--ord", "3"], "unrecognized arguments: --ord 3"),
+            (["classify", "--ene", "-1/4"], "unrecognized arguments: --ene -1/4"),
+            (["classify", "--ene=-1/4"], "unrecognized arguments: --ene=-1/4"),
+            (["classify", "--ver"], "unrecognized arguments: --ver"),
+            (["classify", "--verify=yes"], "unrecognized arguments: --verify=yes"),
+            (["solve", "--order", "3", "x", "--y"], "unrecognized arguments: x --y"),
+            (["solve", "--order", "3", "--json"], "argument --json: expected one argument"),
+        ],
+    )
+    def test_usage_errors_exit_1_with_one_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"distpf: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["classify", "--help"], ["solve", "--ord", "3", "-h"]])
+    def test_help_exit_0_prints_the_docstring(self, capsys, argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(distpf.cli.__doc__) and err == ""
+        assert out.splitlines()[0].startswith("usage: distpf COMMAND")
+        assert all(flag in out for flag in (*_VALUE_FLAGS, "--verify"))
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["coeffs", "--order", "7", "--ell", "2"], ("coeffs", {"order": "7", "ell": "2"})),
+            (["solve", "--config", "F"], ("solve", {"config": "F"})),
+            (["classify", "--config", "F", "--json", "J"], ("classify", {"config": "F", "json": "J"})),
+            (["laplacian", "--config", "F", "--verify", "--json", "J"],
+             ("laplacian", {"config": "F", "verify": "true", "json": "J"})),
+            (["verify", "--json", "J"], ("verify", {"json": "J"})),
+            (["classify", "--energy", "-1/4", "--hbar2-over-2m=-x"], ("classify", {"energy": "-1/4", "hbar2_over_2m": "-x"})),
+            (["classify", "--mu", "--ell", "--ell=2"], ("classify", {"mu": "--ell", "ell": "2"})),
+            (["classify", "--energy", "-h"], ("classify", {"energy": "-h"})),
+            (["classify", "--order", "-1", "--help"], (None, {})),
+        ],
+    )
+    def test_read_argv(self, argv, expected):
+        assert _read_argv(argv) == expected
+
+    def test_float_mode_with_default_energy_and_potential(self, tmp_path, capsys):
+        assert main(["solve", "--mode", "float", "--order", "3"]) == 0
+        assert capsys.readouterr().out == "root s=0: u(r) = (1.0) r^1\n"
+        out_json = tmp_path / "c.json"
+        argv = ["classify", "--mode", "float", "--root", "singular", "--json", str(out_json)]
+        assert main(argv) == 0
+        verdict = json.loads(out_json.read_text())["verdict"]
+        assert verdict["u_series"]["mode"] == "float"
+        assert verdict["u_at_origin"] == 1.0
+        assert build_spec({}, {"mode": "float", "v[1]": "2"}).potential.v == (0.0, 2.0)
+        assert build_spec({}, {"mode": "float"}).energy == 0.0
+
+    @pytest.mark.parametrize("argv", [["coeffs", "--order", "3", "--json", "c.json"], ["-h"]])
+    def test_closed_stdout_exit_1_without_traceback(self, tmp_path, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        env = {**os.environ, "PYTHONPATH": str(Path(distpf.cli.__file__).parents[1])}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "distpf.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        if "--json" in argv:  # written before the report
+            assert len(json.loads((tmp_path / "c.json").read_text())["table"]) == 4
 
     def test_laplacian_verify_beyond_ell_four_exit_0(self, tmp_path, capsys):
         cfg = tmp_path / "ell6.cfg"
@@ -521,11 +597,7 @@ def test_main_exit_codes_on_any_input(tmp_path, monkeypatch, capsys, command, li
     argv = [command, "--config", str(cfg), *switches, *tail]
     for key, text in flags:
         argv[1:1] = [f"--{key.replace('_', '-')}", text]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse usage errors
-        assert exc.code == 1
-        code = 1
+    code = main(argv)
     assert code in (0, 1, 2, 3)
     if code == 1:
         err = capsys.readouterr().err

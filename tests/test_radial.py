@@ -118,6 +118,15 @@ class TestFrobenius:
             R = RadialSeries(res.series.s - 1, res.series.coeffs)
             assert all(v == 0 for v in radial_residuals(V, ell, E, units, R))
 
+    @pytest.mark.parametrize("kappa", [Fraction(10**400), Fraction(1, 10**400)])
+    def test_float_mode_rejects_kappa_outside_float_range(self, kappa):
+        units = PhysicalUnits(kappa)
+        with pytest.raises(ValueError, match="positive finite float"):
+            units.to_float()
+        with pytest.raises(ValueError, match="positive finite float"):
+            frobenius(PotentialModel(0.5), 0, 1.0, 0, 4, units)
+        assert frobenius(PotentialModel(Fraction(1, 2)), 0, 1, 0, 4, units).series.is_exact
+
     def test_residuals_flag_non_solutions(self):
         R = RadialSeries.exact(0, (1, 1))
         res = radial_residuals(PotentialModel.zero(), 0, Fraction(0), PhysicalUnits(), R)
