@@ -78,22 +78,54 @@ EQUATION_DESCRIPTIONS = {
 class Verdict:
     """Outcome of classifying one radial series solution.
 
-    ``delta_source`` is the exact right-hand-side source (empty iff the
-    state solves the unmodified equation); ``u_at_origin`` is the value of
-    u(0) when defined (None when u diverges at the origin or no series
-    exists).  The kind is SOLVES_SE exactly when the source is empty, and
-    for l = 0 the boundary condition u(0) = 0 holds exactly in that case.
+    Only the state is stored: the exact ``delta_source``, the ``root`` of R
+    and the series ``u_series`` for u (None when a logarithm is needed at
+    ``obstruction_order``).  u(0), u(0) = 0, normalizability and the cited
+    equations are read off it.  ``kind`` must match the source as ``of``
+    sets it; the type cannot enforce that, since a check is tested by
+    replacing ``kind`` with a wrong one.
     """
 
     kind: VerdictKind
     delta_source: DeltaSum
-    u_at_origin: object
-    boundary_condition_met: bool
-    normalizable: bool
-    equations_cited: tuple[EquationForm, ...]
     root: int
-    u_series: RadialSeries | None = None
-    obstruction_order: int | None = None
+    u_series: RadialSeries | None
+    obstruction_order: int | None
+
+    @classmethod
+    def of(cls, root: int, source=DeltaSum.empty(), u_series=None, obstruction_order=None) -> "Verdict":
+        """The verdict on a state: no series, no radial solution; else SOLVES_SE iff no source."""
+        if u_series is None:
+            return cls(VerdictKind.NOT_RADIAL_SOLUTION, source, root, None, obstruction_order)
+        kind = VerdictKind.SOLVES_SE if source.is_empty else VerdictKind.SOLVES_MODIFIED_SE
+        return cls(kind, source, root, u_series, obstruction_order)
+
+    @property
+    def u_at_origin(self):
+        """u(0): a_0 if u starts at r^0, zero if later, None if u diverges or has no series."""
+        series = self.u_series
+        if series is None or series.s < 0:
+            return None
+        if series.s == 0:
+            return series.coeffs[0]
+        return Fraction(0) if series.is_exact else 0.0
+
+    @property
+    def boundary_condition_met(self) -> bool:
+        return self.u_at_origin == 0
+
+    @property
+    def normalizable(self) -> bool:
+        return normalizable_at_origin(self.root)
+
+    @property
+    def equations_cited(self) -> tuple[EquationForm, ...]:
+        if self.kind is VerdictKind.SOLVES_SE:
+            return (EquationForm.SCHROEDINGER,)
+        if self.kind is VerdictKind.NOT_RADIAL_SOLUTION:
+            return ()
+        point = (EquationForm.REDUCED_POINT_SOURCED,) if self.root == -1 else ()  # l = 0 only
+        return (EquationForm.MODIFIED_SCHROEDINGER, EquationForm.RADIAL_PSEUDOFUNCTION_SOURCED, *point)
 
 
 def q_nonvanishing(pf: PseudoFunction) -> bool:
@@ -126,47 +158,6 @@ def classify_solution(
     try:
         result = frobenius(V, ell, E, root, N, units)
     except LogObstruction as obs:
-        return Verdict(
-            kind=VerdictKind.NOT_RADIAL_SOLUTION,
-            delta_source=DeltaSum.empty(),
-            u_at_origin=None,
-            boundary_condition_met=False,
-            normalizable=normalizable_at_origin(root),
-            equations_cited=(),
-            root=root,
-            u_series=None,
-            obstruction_order=obs.order,
-        )
-
+        return Verdict.of(root, obstruction_order=obs.order)
     pf = from_u(result.series, AngularLabel(ell, mu))
-    source = delta_source(pf, units)
-
-    if root >= 0:
-        u0 = Fraction(0) if result.series.is_exact else 0.0
-    elif root == -1:
-        u0 = result.series.coeffs[0]
-    else:
-        u0 = None
-
-    if source.is_empty:
-        kind = VerdictKind.SOLVES_SE
-        cited = (EquationForm.SCHROEDINGER,)
-    else:
-        kind = VerdictKind.SOLVES_MODIFIED_SE
-        cited = (
-            EquationForm.MODIFIED_SCHROEDINGER,
-            EquationForm.RADIAL_PSEUDOFUNCTION_SOURCED,
-        )
-        if ell == 0:
-            cited = cited + (EquationForm.REDUCED_POINT_SOURCED,)
-
-    return Verdict(
-        kind=kind,
-        delta_source=source,
-        u_at_origin=u0,
-        boundary_condition_met=(u0 == 0) if u0 is not None else False,
-        normalizable=normalizable_at_origin(root),
-        equations_cited=cited,
-        root=root,
-        u_series=result.series,
-    )
+    return Verdict.of(root, delta_source(pf, units), result.series)

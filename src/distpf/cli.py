@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .classify import EQUATION_DESCRIPTIONS, EquationForm, Verdict, VerdictKind, classify_solution
+from .classify import EQUATION_DESCRIPTIONS, Verdict, VerdictKind, classify_solution
 from .coeffs import ExactScalar, coeff_B, coeff_C, coeff_L
 from .distlap import laplacian
 from .oracle import TestFunction, verify_laplacian_identity
@@ -81,7 +81,6 @@ class ProblemSpec:
     root: str = "regular"  # regular | singular | both
     order: int = 10
     units: PhysicalUnits = field(default_factory=PhysicalUnits)
-    mode: str = "exact"  # exact | float
     tol: float = DEFAULT_TOL
     verify: bool = False
     s: object = None
@@ -199,6 +198,7 @@ def build_spec(config: dict, overrides: dict) -> ProblemSpec:
                 raise ValueError("unknown key")
         except ValueError as exc:
             raise ConfigError(f"field {key}: {exc}") from None
+    del fields["mode"]  # read by the parsers above only; a command sees the parsed numbers
     zero = _number("0", mode)  # a missing energy or v[j] is zero of the mode's kind
     v_minus1 = poly.pop(-1, zero)
     degree = max(poly) + 1 if poly else 0
@@ -297,20 +297,14 @@ def serialize_verdict(v: Verdict) -> dict:
 
 
 def parse_verdict(doc: dict) -> Verdict:
-    u0 = doc["u_at_origin"]
-    if isinstance(u0, str):
-        u0 = Fraction(u0)
-    return Verdict(
-        kind=VerdictKind(doc["kind"]),
-        delta_source=parse_delta_sum(doc["delta_source"]),
-        u_at_origin=u0,
-        boundary_condition_met=doc["boundary_condition_met"],
-        normalizable=doc["normalizable"],
-        equations_cited=tuple(EquationForm(c) for c in doc["citations"]),
-        root=doc["root"],
-        u_series=parse_series(doc["u_series"]) if doc["u_series"] is not None else None,
-        obstruction_order=doc["obstruction_order"],
-    )
+    """The verdict on the document's state; ValueError names a derived key that disagrees."""
+    series = parse_series(doc["u_series"]) if doc["u_series"] is not None else None
+    v = Verdict.of(doc["root"], parse_delta_sum(doc["delta_source"]), series, doc["obstruction_order"])
+    derived = serialize_verdict(v)
+    for key in ("kind", "u_at_origin", "boundary_condition_met", "normalizable", "citations"):
+        if doc[key] != derived[key]:
+            raise ValueError(f"verdict key {key}: document says {doc[key]!r}, state gives {derived[key]!r}")
+    return v
 
 
 # ---------------------------------------------------------------------

@@ -269,6 +269,7 @@ def radial_residuals(
             x = sum(map(mul, c, lags)) - K * _indicial(m, s, ell) * n[m]
             rows.append(Fraction(x, LM) if x else _ZERO)
         return rows
+    units.to_float()  # the float range check only: the rows below keep kappa exact
     # Float rows: int / int rounds -kappa D(m) once, exactly as float(Fraction) would.
     return [
         _row_sum(w, a, m, -(kappa.numerator * _indicial(m, s, ell)) / kappa.denominator * a[m])

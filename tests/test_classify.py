@@ -21,6 +21,7 @@ from distpf import (
     frobenius,
     hamiltonian_apply,
     indicial_roots,
+    normalizable_at_origin,
     q_nonvanishing,
     q_sl,
 )
@@ -144,6 +145,40 @@ class TestClassifySolution:
             assert v.boundary_condition_met == (v.u_at_origin == 0)
             seen_both.add(v.kind)
         assert seen_both == {VerdictKind.SOLVES_SE, VerdictKind.SOLVES_MODIFIED_SE}
+
+    def test_derived_facts_follow_the_stored_state(self):
+        # Reference rules for u(0), u(0) = 0, normalizability and the
+        # citations, written from the root and ell, not from Verdict's own.
+        cases = [
+            (PotentialModel(0, (Fraction(1, 2),)), ell, E, root)
+            for ell in range(4)
+            for root in indicial_roots(ell)
+            for E in (Fraction(1), 1.0)
+        ]
+        cases.append((PotentialModel.coulomb(-2), 0, Fraction(-1), -1))  # log obstruction
+        kinds = set()
+        for V, ell, E, root in cases:
+            v = classify_solution(V, ell, 0, E, root, 8)
+            kinds.add(v.kind)
+            if v.u_series is None or root < -1:
+                u0 = None
+            elif root == -1:
+                u0 = v.u_series.coeffs[0]
+            else:
+                u0 = Fraction(0) if v.u_series.is_exact else 0.0
+            assert v.u_at_origin == u0 and type(v.u_at_origin) is type(u0)
+            assert v.boundary_condition_met == ((u0 == 0) if u0 is not None else False)
+            assert v.normalizable == normalizable_at_origin(root)
+            if v.kind is VerdictKind.SOLVES_SE:
+                cited = (EquationForm.SCHROEDINGER,)
+            elif v.kind is VerdictKind.SOLVES_MODIFIED_SE:
+                cited = (EquationForm.MODIFIED_SCHROEDINGER, EquationForm.RADIAL_PSEUDOFUNCTION_SOURCED)
+                if ell == 0:
+                    cited += (EquationForm.REDUCED_POINT_SOURCED,)
+            else:
+                cited = ()
+            assert v.equations_cited == cited
+        assert kinds == set(VerdictKind)
 
 
 def test_layers_are_looked_up_where_the_benchmark_wraps_them(monkeypatch):

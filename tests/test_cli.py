@@ -85,6 +85,23 @@ class TestConfigParsing:
         assert spec.s == -1.0
 
 
+# One verdict of each kind.
+VERDICTS = {
+    "regular": lambda: classify_solution(PotentialModel.coulomb(-2), 0, 0, Fraction(-1), 0, 8),
+    "singular": lambda: classify_solution(PotentialModel.zero(), 0, 0, Fraction(1), -1, 8),
+    "obstructed": lambda: classify_solution(PotentialModel.coulomb(-2), 0, 0, Fraction(-1), -1, 8),
+}
+
+# A change to each key that a verdict's document derives from its state.
+ALTER_DERIVED = {
+    "kind": lambda x: next(k.value for k in VerdictKind if k.value != x),
+    "u_at_origin": lambda x: "7/3",
+    "boundary_condition_met": lambda x: not x,
+    "normalizable": lambda x: not x,
+    "citations": lambda x: x[:-1] if x else ["schroedinger_eigenvalue_equation"],
+}
+
+
 class TestSerialization:
     def test_scalar_round_trip(self):
         x = ExactScalar.pi_term(Fraction(-10, 3), 2) + ExactScalar.pi_term(2, -1)
@@ -108,14 +125,24 @@ class TestSerialization:
         assert parse_expr(doc) == expr
 
     def test_verdict_round_trip(self):
-        v = classify_solution(PotentialModel.zero(), 0, 0, Fraction(1), -1, 8)
+        v = VERDICTS["singular"]()
         doc = json.loads(json.dumps(serialize_verdict(v)))
         assert parse_verdict(doc) == v
 
     def test_verdict_round_trip_obstruction(self):
-        v = classify_solution(PotentialModel.coulomb(-2), 0, 0, Fraction(-1), -1, 8)
+        v = VERDICTS["obstructed"]()
         doc = json.loads(json.dumps(serialize_verdict(v)))
         assert parse_verdict(doc) == v
+
+    @pytest.mark.parametrize("key", ALTER_DERIVED)
+    @pytest.mark.parametrize("case", VERDICTS)
+    def test_verdict_with_altered_derived_key_is_rejected(self, case, key):
+        v = VERDICTS[case]()
+        doc = json.loads(json.dumps(serialize_verdict(v)))
+        assert parse_verdict(doc) == v
+        doc[key] = ALTER_DERIVED[key](doc[key])
+        with pytest.raises(ValueError, match=f"^verdict key {key}: "):
+            parse_verdict(doc)
 
     def test_delta_terms_emitted_in_sorted_order(self):
         expr = laplacian(
@@ -324,7 +351,7 @@ class TestMain:
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("s = -1\ncoeffs = 1, nan\nmode = float\n")
         assert main(["laplacian", "--config", str(cfg), "--verify"]) == 1
-        spec = ProblemSpec(mode="float", s=-1.0, coeffs=(1.0, float("nan")), verify=True)
+        spec = ProblemSpec(s=-1.0, coeffs=(1.0, float("nan")), verify=True)
         code, report, _ = run("laplacian", spec)
         assert code == 3 and "residual: max nan" in report
 
@@ -338,7 +365,7 @@ class TestMain:
         assert captured.err == f"distpf: config error: field coeffs: must be finite, got {value!r}\n"
         # Past the parser, the singular rung still refuses the coefficient.
         with pytest.raises(ValueError, match="^coefficient a_0 = "):
-            run("laplacian", ProblemSpec(mode="float", s=-1.0, coeffs=(float(value),)))
+            run("laplacian", ProblemSpec(s=-1.0, coeffs=(float(value),)))
 
     def test_laplacian_verify_out_of_float_range_exit_1(self, tmp_path, capsys):
         # Pairing r^400 needs F(402, alpha), beyond the float range.

@@ -8,12 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distpf import (
+    AngularLabel,
     FreeParameterSetToZero,
     LogObstruction,
     PhysicalUnits,
     PotentialModel,
+    PseudoFunction,
     RadialSeries,
     frobenius,
+    hamiltonian_apply,
     indicial_roots,
     normalizable_at_origin,
     radial_residuals,
@@ -125,6 +128,11 @@ class TestFrobenius:
             units.to_float()
         with pytest.raises(ValueError, match="positive finite float"):
             frobenius(PotentialModel(0.5), 0, 1.0, 0, 4, units)
+        with pytest.raises(ValueError, match="positive finite float"):
+            radial_residuals(PotentialModel(0.5), 0, 1.0, units, RadialSeries(0.0, (1.0, 0.5)))
+        pf = PseudoFunction(RadialSeries(0, (1.0, 0.5)), AngularLabel(0, 0))
+        with pytest.raises(ValueError, match="positive finite float"):
+            hamiltonian_apply(pf, PotentialModel(0.5), 1.0, units)
         assert frobenius(PotentialModel(Fraction(1, 2)), 0, 1, 0, 4, units).series.is_exact
 
     def test_residuals_flag_non_solutions(self):
