@@ -486,7 +486,7 @@ def _default_verify_cases():
 
 
 def _cmd_verify(spec: ProblemSpec):
-    given = spec.s is not None and spec.coeffs
+    given = spec.s is not None or spec.coeffs
     cases = [_require_series(spec)] if given else _default_verify_cases()
     rows, worst, code = _residual_grid(cases, spec.tol)
     lines = [f"{'s':>4} {'ell':>4} {'alpha':>6} {'poly':>5} {'residual':>12}"]
@@ -580,6 +580,10 @@ def main(argv=None) -> int:
             code, doc = 0, None
         else:
             code, report, doc = run(command, spec)
+        if json_path:  # written first: a reader that closes stdout early still gets it
+            with open(json_path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         prefix = "config error: " if isinstance(exc, ConfigError) else ""
         print(f"distpf: {prefix}{exc}", file=sys.stderr)
@@ -587,10 +591,6 @@ def main(argv=None) -> int:
     finally:
         if digit_limit:
             sys.set_int_max_str_digits(digit_limit)
-    if json_path:  # written first: a reader that closes stdout early still gets it
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
     try:
         print(report, flush=True)
     except BrokenPipeError:  # as in Python's signal docs: no second failure at exit

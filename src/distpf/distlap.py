@@ -135,11 +135,16 @@ def laplacian(pf: PseudoFunction) -> DistributionExpr:
     """Distributional Laplacian of a pseudofunction, termwise plus corrections.
 
     The output series keeps the input truncation order with the exponent
-    shifted down by two.
+    shifted down by two.  A float series whose finite coefficient gives a
+    non-finite output coefficient raises ``ValueError``.
     """
     rad, label = pf.radial, pf.angular
     s, ell = rad.s, label.ell
     out = [radial._indicial(k, s, ell) * a for k, a in enumerate(rad.coeffs)]
+    if not rad.is_exact:
+        for k, (a, b) in enumerate(zip(rad.coeffs, out)):
+            if math.isfinite(a) and not math.isfinite(b):
+                raise ValueError(f"float Laplacian is not finite at order {k} (coefficient {b})")
     pf_part = PseudoFunction(RadialSeries.make(s - 2, out), label)
     return DistributionExpr(pf_part, q_sl(pf))
 

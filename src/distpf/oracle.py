@@ -34,9 +34,8 @@ run in any order or in parallel.  A grid pairs few distinct inputs many
 times, so two bounded caches share the work between pairings.
 ``_sphere_terms`` keeps, per harmonic label and test function, the
 monomials of core * P with a nonzero sphere moment; both pairings read
-it.  ``_laplacian`` keeps the engine's decomposition per pseudofunction.
-Its key carries the mode: an exact and a float series with equal values
-compare and hash equal, and each must be paired with its own Laplacian.
+it.  ``_laplacian`` keeps the engine's decomposition per pseudofunction;
+a series' mode is part of its identity, so each mode gets its own entry.
 
 Conventions: an ell = 0 pseudofunction is paired as the bare radial
 function (angular factor 1, contributing the full 4*pi sphere moment), and
@@ -413,7 +412,7 @@ def pair_delta(term: DeltaTerm, phi: TestFunction) -> float:
 
 
 @lru_cache(maxsize=64)
-def _laplacian(pf: PseudoFunction, exact: bool):
+def _laplacian(pf: PseudoFunction):
     """``laplacian(pf)``, shared by the pairings of one case; see the module notes."""
     return laplacian(pf)
 
@@ -427,7 +426,7 @@ def verify_laplacian_identity(pf: PseudoFunction, phi: TestFunction) -> float:
     """
     try:
         lhs = pair_pseudofunction(pf, testfn_laplacian(phi))
-        expr = _laplacian(pf, pf.radial.is_exact)
+        expr = _laplacian(pf)
         rhs = pair_pseudofunction(expr.pf_part, phi)
         for term in expr.delta_part:
             rhs += pair_delta(term, phi)

@@ -11,7 +11,10 @@ Conventions
 -----------
 * Exact mode stores ``Fraction`` coefficients and requires an integer
   leading exponent; float mode stores floats and allows any real exponent.
-  The two modes never mix inside one series.
+  One rule, ``_one_mode``, picks the mode for a series and for a
+  ``radial.PotentialModel``: a float anywhere makes every value a float.
+  The mode is part of a value's identity, so an exact and a float value
+  never compare equal.
 * A ``DeltaTerm`` with ell = 0 denotes  coefficient * laplacian^p(delta)
   with no angular factor at all.  For ell >= 1 it denotes
   coefficient * r^ell * Y_ell^mu * laplacian^p(delta)  with Y the real,
@@ -24,7 +27,7 @@ All types are immutable and freely shareable across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
@@ -42,6 +45,17 @@ __all__ = [
 ]
 
 
+def _one_mode(values: tuple) -> tuple[tuple, bool]:
+    """(values, is_exact): all floats if any value is a float, else all plain Fractions."""
+    # One C-level pass; a tuple of plain Fractions or plain floats is kept as is.
+    kinds = set(map(type, values))
+    if kinds == {Fraction} or kinds == {float}:
+        return values, float not in kinds
+    if any(isinstance(a, float) for a in values):
+        return tuple(map(float, values)), False
+    return tuple(a if type(a) is Fraction else Fraction(a) for a in values), True
+
+
 @dataclass(frozen=True)
 class RadialSeries:
     """r^s times a truncated power series with nonzero leading coefficient.
@@ -49,33 +63,24 @@ class RadialSeries:
     ``coeffs`` runs a_0 .. a_N (N is the truncation order); trailing zeros
     are meaningful (they assert the coefficient is zero up to that order),
     leading zeros are forbidden.  The unique zero series has no
-    coefficients and exponent 0.
+    coefficients, exponent 0, and is exact.  ``is_exact`` is derived from
+    the coefficients; it takes part in ``==`` and ``hash`` but not ``repr``.
     """
 
     s: int | float
     coeffs: tuple
+    is_exact: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+        coeffs, exact = _one_mode(tuple(self.coeffs))
         if not coeffs:
             object.__setattr__(self, "s", 0)
-            object.__setattr__(self, "coeffs", ())
-            return
-        # One C-level pass; a tuple of plain Fractions or plain floats is kept as is.
-        kinds = set(map(type, coeffs))
-        exact = kinds == {Fraction} or not any(isinstance(a, float) for a in coeffs)
-        if exact:
-            if kinds != {Fraction}:
-                coeffs = tuple(a if type(a) is Fraction else Fraction(a) for a in coeffs)
-            if not isinstance(self.s, int):
-                raise ValueError(
-                    "exact-mode series require an integer leading exponent"
-                )
-        elif kinds != {float}:
-            coeffs = tuple(float(a) for a in coeffs)
-        if coeffs[0] == 0:
+        elif exact and not isinstance(self.s, int):
+            raise ValueError("exact-mode series require an integer leading exponent")
+        elif coeffs[0] == 0:
             raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "is_exact", exact)
 
     # -- constructors --------------------------------------------------
 
@@ -103,10 +108,6 @@ class RadialSeries:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_exact(self) -> bool:
-        return not self.coeffs or isinstance(self.coeffs[0], Fraction)
 
     @property
     def order(self) -> int:

@@ -28,12 +28,12 @@ The problem data live here too: ``PotentialModel`` for V(r) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, lcm
 from operator import mul
 
-from .pseudofunction import RadialSeries
+from .pseudofunction import RadialSeries, _one_mode
 
 __all__ = [
     "PotentialModel",
@@ -52,20 +52,20 @@ __all__ = [
 class PotentialModel:
     """Central potential v_(-1)/r + v_0 + v_1 r + ... (no stronger singularity).
 
-    Coefficients are exact rationals or floats, never mixed.
+    Coefficients are exact rationals or floats, never mixed, by the rule
+    that also decides a ``RadialSeries``'s mode.  ``is_exact`` takes part
+    in ``==`` and ``hash`` but not ``repr``.
     """
 
     v_minus1: object = Fraction(0)
     v: tuple = ()
+    is_exact: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        vals = (self.v_minus1, *self.v)
-        if any(isinstance(x, float) for x in vals):
-            object.__setattr__(self, "v_minus1", float(self.v_minus1))
-            object.__setattr__(self, "v", tuple(float(x) for x in self.v))
-        else:
-            object.__setattr__(self, "v_minus1", Fraction(self.v_minus1))
-            object.__setattr__(self, "v", tuple(Fraction(x) for x in self.v))
+        (v_minus1, *v), exact = _one_mode((self.v_minus1, *self.v))
+        object.__setattr__(self, "v_minus1", v_minus1)
+        object.__setattr__(self, "v", tuple(v))
+        object.__setattr__(self, "is_exact", exact)
 
     @staticmethod
     def zero() -> "PotentialModel":
@@ -74,14 +74,6 @@ class PotentialModel:
     @staticmethod
     def coulomb(strength) -> "PotentialModel":
         return PotentialModel(v_minus1=strength)
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.v_minus1, Fraction)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.v_minus1 == 0 and all(c == 0 for c in self.v)
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,12 @@ class TestClassifySolution:
         assert v.normalizable
         assert EquationForm.REDUCED_POINT_SOURCED in v.equations_cited
 
+    def test_exact_and_float_verdicts_of_a_dyadic_problem_differ(self):
+        exact = classify_solution(PotentialModel.zero(), 0, 0, Fraction(0), -1, 4)
+        flt = classify_solution(PotentialModel.zero(), 0, 0, 0.0, -1, 4)
+        assert exact.delta_source == flt.delta_source and exact.kind is flt.kind
+        assert exact != flt
+
     def test_free_particle_singular_l1(self):
         v = classify_solution(PotentialModel.zero(), 1, 1, Fraction(1), -2, 8)
         assert v.kind is VerdictKind.SOLVES_MODIFIED_SE

@@ -118,6 +118,12 @@ class TestSerialization:
         doc = json.loads(json.dumps(serialize_series(s)))
         assert parse_series(doc) == s
 
+    def test_series_with_flipped_mode_parses_unequal(self):
+        s = RadialSeries.exact(-3, (1, 0, -2))  # integers, which a float document can hold
+        flipped = parse_series({**serialize_series(s), "mode": "float"})
+        assert (flipped.s, flipped.coeffs) == (s.s, s.coeffs)
+        assert flipped != s and not flipped.is_exact
+
     def test_expr_round_trip(self):
         pf = PseudoFunction(RadialSeries.exact(-3, (1, 2)), AngularLabel(1, -1))
         expr = laplacian(pf)
@@ -381,7 +387,7 @@ class TestMain:
         "config",
         [
             "s = 0\ncoeffs = 1e400\n",  # float(a_0) in the pseudofunction pairing
-            "s = -3\ncoeffs = 1e308\nmode = float\n",  # the exact weight of lap(delta)
+            "s = -3\ncoeffs = 2.9e307\nmode = float\n",  # the exact weight of lap(delta)
         ],
     )
     def test_laplacian_verify_pairing_overflow_exit_1(self, tmp_path, capsys, config):
@@ -393,6 +399,24 @@ class TestMain:
         assert captured.err.startswith("distpf: pairing at s = ")
         assert captured.err.endswith(" overflows float arithmetic\n")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config, verify",
+        [
+            ("s = 1e200\ncoeffs = 1, 2\n", False),  # s(s+1) overflows
+            ("s = -3\ncoeffs = 1e308\n", True),  # 6 * a_0 overflows before any pairing
+        ],
+    )
+    def test_float_laplacian_overflow_exit_1(self, tmp_path, capsys, config, verify):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(config)
+        out_json = tmp_path / "out.json"
+        argv = ["laplacian", "--mode", "float", "--config", str(cfg), "--json", str(out_json)]
+        assert main(argv + ["--verify"] * verify) == 1
+        assert capsys.readouterr() == (
+            "", "distpf: float Laplacian is not finite at order 0 (coefficient inf)\n"
+        )
+        assert not out_json.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["energy", "v[-1]", "v[0]", "v[2]"])
@@ -557,6 +581,20 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("distpf: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_failed_json_write_exit_1(self, capsys):
+        assert main(["coeffs", "--order", "1", "--json", "/dev/full"]) == 1
+        assert capsys.readouterr() == ("", "distpf: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("config", ["s = -3\n", "coeffs = 1, 2\n"])
+    def test_verify_with_half_a_series_exit_1(self, tmp_path, capsys, config):
+        cfg = tmp_path / "half.cfg"
+        cfg.write_text(config)
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == (
+            "", "distpf: config error: fields s and coeffs are required for this command\n"
+        )
 
     def test_json_path_is_directory_exit_1(self, tmp_path, capsys):
         assert main(["classify", "--json", str(tmp_path)]) == 1

@@ -2,9 +2,11 @@
 
 Each CLI case runs ``distpf.cli.main`` in-process on a config file and
 flags, and the captured stdout, exit code and ``--json`` document must
-equal the stored ones exactly.  Two Python-level cases pin the repr of
-float ``radial_residuals`` and of a lenient ``hamiltonian_apply`` result,
-which fixes the order in which float terms are summed.  A third pins the
+equal the stored ones exactly.  Every stored and produced ``--json``
+document must be strict JSON, without ``NaN`` or ``Infinity``.  Two
+Python-level cases pin the repr of float ``radial_residuals`` and of a
+lenient ``hamiltonian_apply`` result, which fixes the order in which float
+terms are summed.  A third pins the
 exact ``frobenius`` series at a deep order, with a resonance on the
 singular root, and the exact ``radial_residuals`` of a perturbed copy.
 Each ``demos/0N_*.py`` runs in a subprocess, and its stdout must equal
@@ -176,13 +178,32 @@ def run_demo(demo: pathlib.Path) -> bytes:
     return subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, check=True).stdout
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _strict_loads(text: str):
+    """json.loads that refuses NaN and Infinity, which strict JSON readers reject."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def _load(name: str):
-    return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    return _strict_loads((GOLDEN_DIR / f"{name}.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_golden(name):
-    assert run_cli_case(*CLI_CASES[name]) == _load(name)
+    got = run_cli_case(*CLI_CASES[name])
+    if got["json"] is not None:
+        _strict_loads(got["json"])
+    assert got == _load(name)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda path: path.stem)
+def test_stored_json_is_strict(path):
+    doc = _strict_loads(path.read_text())
+    if isinstance(doc.get("json"), str):  # a CLI case's --json document
+        _strict_loads(doc["json"])
 
 
 def test_python_golden():

@@ -493,7 +493,7 @@ class TestPairingCaches:
         label = AngularLabel(1, 1)
         exact = PseudoFunction(RadialSeries.exact(-6, (1, 1)), label)
         flt = PseudoFunction(RadialSeries(-6.0, (1.0, 1.0)), label)
-        assert exact == flt and hash(exact) == hash(flt)
+        assert exact != flt
         oracle._laplacian.cache_clear()
         calls = []
         self._count_calls(monkeypatch, "laplacian", calls)
@@ -501,7 +501,7 @@ class TestPairingCaches:
         for pf in (exact, flt, exact, flt):
             verify_laplacian_identity(pf, phi)
         assert [args[0].radial.is_exact for _, args in calls] == [True, False]
-        assert oracle._laplacian(flt, False).pf_part.radial.is_exact is False
+        assert oracle._laplacian(flt).pf_part.radial.is_exact is False
 
     def test_test_function_hash_ignores_insertion_order(self):
         a = TestFunction.from_poly({(0, 0, 0): 1, (2, 0, 0): Fraction(1, 3), (0, 1, 1): -1}, 1)

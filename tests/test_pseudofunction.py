@@ -11,6 +11,7 @@ from distpf import (
     DeltaSum,
     DeltaTerm,
     ExactScalar,
+    PotentialModel,
     PseudoFunction,
     RadialSeries,
     from_u,
@@ -50,8 +51,20 @@ class TestRadialSeries:
     def test_trailing_zeros_are_kept(self):
         assert RadialSeries.exact(0, (1, 0)).order == 1
 
+    def test_mode_is_part_of_identity(self):
+        exact, flt = RadialSeries.exact(-6, (1, 1)), RadialSeries(-6.0, (1.0, 1.0))
+        assert exact != flt and len({exact, flt}) == 2
+        assert RadialSeries(-6, (1.0, 1.0)) != exact
+        assert RadialSeries(0.0, ()) == RadialSeries.zero() and RadialSeries.zero().is_exact
 
-# -- the per-element normalisation RadialSeries used before its type fast path ----
+    def test_repr_hides_the_mode(self):
+        assert repr(RadialSeries.exact(-6, (1, 1))) == (
+            "RadialSeries(s=-6, coeffs=(Fraction(1, 1), Fraction(1, 1)))"
+        )
+        assert repr(RadialSeries(-6.0, (1, 1.0))) == "RadialSeries(s=-6.0, coeffs=(1.0, 1.0))"
+
+
+# -- the per-element mode rules RadialSeries and PotentialModel used before sharing one ----
 
 
 def _reference_normalise(s, coeffs):
@@ -66,6 +79,13 @@ def _reference_normalise(s, coeffs):
     if coeffs[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
     return coeffs, exact
+
+
+def _reference_potential(values):
+    """(values, is_exact) as PotentialModel normalised (v_minus1, *v), element by element."""
+    if any(isinstance(x, float) for x in values):
+        return tuple(float(x) for x in values), False
+    return tuple(Fraction(x) for x in values), True
 
 
 class _Int(int):
@@ -92,6 +112,7 @@ _elements = st.one_of(
     _small.map(_Int),
     _small.map(_Fraction),
     st.floats(min_value=-3, max_value=3).map(_Float),
+    st.sampled_from(["1/2", "x", None, 1j]),  # values one mode or both refuse
 )
 
 
@@ -123,6 +144,21 @@ class TestRadialSeriesNormalisation:
         series = RadialSeries(s, given_coeffs)
         assert _typed(series.coeffs) == _typed(expected)
         assert series.is_exact == exact and series.s == s
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_elements, min_size=1, max_size=6), as_list=st.booleans())
+    def test_potential_matches_per_element_reference(self, values, as_list):
+        v = list(values[1:]) if as_list else tuple(values[1:])
+        try:
+            expected, exact = _reference_potential(tuple(values))
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as err:
+                PotentialModel(values[0], v)
+            assert str(err.value) == str(exc)
+            return
+        V = PotentialModel(values[0], v)
+        assert _typed((V.v_minus1, *V.v)) == _typed(expected)
+        assert V.is_exact == exact and type(V.v) is tuple
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -86,6 +86,13 @@ class TestFrobenius:
         assert not res.series.is_exact
         assert res.series.coeffs[2] == pytest.approx(-1.0)
 
+    def test_exact_and_float_series_of_a_dyadic_problem_differ(self):
+        # Every value is dyadic, so both modes store equal numbers; only the mode differs.
+        exact = frobenius(PotentialModel.zero(), 0, Fraction(0), -1, 4).series
+        flt = frobenius(PotentialModel.zero(), 0, 0.0, -1, 4).series
+        assert (exact.s, exact.coeffs) == (flt.s, flt.coeffs)
+        assert exact != flt and len({exact, flt}) == 2
+
     @pytest.mark.parametrize(
         "kappa, E, ell, root, N, order",
         [
@@ -319,6 +326,18 @@ class TestIntegerRecurrence:
             for d in range(1, min(len(w), m) + 1):
                 row = row + w[d - 1] * a[m - d]
             assert repr(r) == repr(row)
+
+
+class TestPotentialModel:
+    def test_mode_is_part_of_identity(self):
+        exact, flt = PotentialModel(Fraction(1, 2)), PotentialModel(0.5)
+        assert exact.is_exact and not flt.is_exact
+        assert exact != flt and len({exact, flt}) == 2
+        assert PotentialModel(Fraction(1, 2)) == exact and hash(PotentialModel(0.5)) == hash(flt)
+
+    def test_repr_hides_the_mode(self):
+        assert repr(PotentialModel(Fraction(1, 2))) == "PotentialModel(v_minus1=Fraction(1, 2), v=())"
+        assert repr(PotentialModel(0.5, (1,))) == "PotentialModel(v_minus1=0.5, v=(1.0,))"
 
 
 class TestNormalizableAtOrigin:
