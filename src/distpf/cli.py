@@ -32,12 +32,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from .classify import EQUATION_DESCRIPTIONS, Verdict, VerdictKind, classify_solution
-from .coeffs import ExactScalar, coeff_B, coeff_C, coeff_L
+from .coeffs import ExactScalar, _Record, coeff_B, coeff_C, coeff_L
 from .distlap import laplacian
 from .oracle import TestFunction, verify_laplacian_identity
 from .pseudofunction import (
@@ -70,21 +69,28 @@ class ConfigError(ValueError):
     """Malformed config file or field value, with location diagnostics."""
 
 
-@dataclass
-class ProblemSpec:
+class ProblemSpec(_Record):
     """Everything a subcommand needs, assembled from flags and config."""
 
-    potential: PotentialModel = field(default_factory=PotentialModel.zero)
-    ell: int = 0
-    mu: int = 0
-    energy: object = Fraction(0)
-    root: str = "regular"  # regular | singular | both
-    order: int = 10
-    units: PhysicalUnits = field(default_factory=PhysicalUnits)
-    tol: float = DEFAULT_TOL
-    verify: bool = False
-    s: object = None
-    coeffs: tuple = ()
+    _fields = ("potential", "ell", "mu", "energy", "root", "order", "units", "tol", "verify", "s", "coeffs")
+
+    def __init__(
+        self,
+        potential: PotentialModel = PotentialModel(),
+        ell: int = 0,
+        mu: int = 0,
+        energy: object = Fraction(0),
+        root: str = "regular",  # regular | singular | both
+        order: int = 10,
+        units: PhysicalUnits = PhysicalUnits(),
+        tol: float = DEFAULT_TOL,
+        verify: bool = False,
+        s: object = None,
+        coeffs: tuple = (),
+    ):
+        values = (potential, ell, mu, energy, root, order, units, tol, verify, s, coeffs)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------
@@ -235,9 +241,15 @@ def serialize_series(series: RadialSeries) -> dict:
 
 
 def parse_series(doc: dict) -> RadialSeries:
-    if doc["mode"] == "exact":
-        return RadialSeries(int(doc["s"]), tuple(Fraction(a) for a in doc["coeffs"]))
-    return RadialSeries(doc["s"], tuple(float(a) for a in doc["coeffs"]))
+    """The series a ``serialize_series`` document holds; ValueError names a key that does not fit the mode."""
+    exact = doc["mode"] == "exact"
+    if exact and type(doc["s"]) is not int:
+        raise ValueError(f"series key s: exact mode needs an integer, got {doc['s']!r}")
+    try:
+        coeffs = tuple(map(Fraction if exact else float, doc["coeffs"]))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"series key coeffs: {exc}") from None
+    return RadialSeries(doc["s"], coeffs)
 
 
 def serialize_pf(pf: PseudoFunction) -> dict:
@@ -252,17 +264,8 @@ def parse_pf(doc: dict) -> PseudoFunction:
     return PseudoFunction(parse_series(doc["radial"]), AngularLabel(doc["ell"], doc["mu"]))
 
 
-def serialize_delta_term(t: DeltaTerm) -> dict:
-    return {
-        "coefficient": serialize_scalar(t.coefficient),
-        "ell": t.ell,
-        "mu": t.mu,
-        "p": t.p,
-    }
-
-
 def serialize_delta_sum(ds: DeltaSum) -> list:
-    return [serialize_delta_term(t) for t in ds]
+    return [{"coefficient": serialize_scalar(t.coefficient), "ell": t.ell, "mu": t.mu, "p": t.p} for t in ds]
 
 
 def parse_delta_sum(doc: list) -> DeltaSum:
@@ -380,14 +383,10 @@ def _residual_grid(cases, tol: float):
     A NaN residual makes ``worst`` NaN; the gate passes only if worst <= tol.
     """
     rows = []
-    polys = [
-        {(0, 0, 0): Fraction(1)},
-        {(0, 0, 0): Fraction(1), (1, 0, 0): Fraction(1)},
-        {(2, 0, 0): Fraction(1), (0, 1, 1): Fraction(-2), (0, 0, 0): Fraction(3)},
-    ]
+    polys = [{(0, 0, 0): 1}, {(0, 0, 0): 1, (1, 0, 0): 1}, {(2, 0, 0): 1, (0, 1, 1): -2, (0, 0, 0): 3}]
     phis = [
-        (str(alpha), i, TestFunction.from_poly(poly, alpha))
-        for alpha in (Fraction(1, 2), Fraction(1), Fraction(2))
+        (alpha, i, TestFunction.from_poly(poly, alpha))  # the test function holds Fractions
+        for alpha in ("1/2", "1", "2")
         for i, poly in enumerate(polys)
     ]
     for pf in cases:

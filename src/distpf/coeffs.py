@@ -24,10 +24,10 @@ large p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import attrgetter
 
 __all__ = [
     "ExactScalar",
@@ -58,8 +58,47 @@ def _fmt_pi(half_power: int) -> str:
     return f"pi^({exp})"
 
 
-@dataclass(frozen=True)
-class ExactScalar:
+class _Record:
+    """Base of the package's immutable value types, built without code generation.
+
+    A subclass names its fields in ``_fields`` and sets each one once in
+    ``__init__`` with ``object.__setattr__``.  ``==`` and ``hash`` read
+    ``_fields + _hidden`` as one tuple, and only between values of the same
+    class; ``repr`` shows ``_fields`` as ``Name(field=value, ...)``.
+    Assigning or deleting an attribute raises AttributeError.  This is what
+    ``@dataclass(frozen=True)`` would give, without its import-time ``exec``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()  # in == and hash, not in repr
+
+    def __init_subclass__(cls):
+        # == and hash run inside cache lookups, so the key is read by one
+        # C-level getter; for a single name it returns the bare value.
+        names = (*cls._fields, *cls._hidden)
+        get = attrgetter(*names)
+        cls._key = get if len(names) > 1 else staticmethod(lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ExactScalar(_Record):
     """A finite sum  sum_h q_h * pi^(h/2)  with rational coefficients q_h.
 
     ``terms`` maps the doubled pi-exponent h (an integer, so the actual
@@ -71,7 +110,10 @@ class ExactScalar:
     scalar consisting of a single term.
     """
 
-    terms: tuple[tuple[int, Fraction], ...] = ()
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, Fraction], ...] = ()):
+        object.__setattr__(self, "terms", terms)
 
     # -- constructors --------------------------------------------------
 

@@ -9,9 +9,11 @@ additionally produces a finite sum of iterated-delta corrections whenever
 the exponent ladder s, s+1, ... crosses a singular rung: the coefficient
 a_k contributes a term at iteration order p exactly when
 
-    k + s + 1 - ell = -2p     with p a nonnegative integer, 2p >= ell,
+    k + s + 1 - ell = -2p     with p an integer, p >= ell,
 
-weighted by a_k * coeff_B(ell, p) * coeff_C(p).  ``q_s`` collects those
+weighted by a_k * coeff_B(ell, p) * coeff_C(p).  A rung with p < ell
+would carry r^ell Y_ell^mu lap^p(delta), the zero distribution (see
+``pseudofunction.DeltaTerm``), so it is not one.  ``q_s`` collects those
 corrections for a bare radial series, ``q_sl`` for a labelled
 pseudofunction; ``laplacian`` and ``radial_operator`` return the full
 decomposition (function-sense part plus delta sum), and
@@ -86,9 +88,9 @@ def _delta_sum(s, coeffs, ell: int, mu: int) -> DeltaSum:
     if s_int is None:
         return DeltaSum.empty()
     terms = []
-    # The singular rungs are k <= -s-1 with k = ell-s-1 (mod 2); there
-    # 2p = ell - s - 1 - k >= ell holds by construction.
-    for k in range((ell - s_int - 1) % 2, min(len(coeffs), -s_int), 2):
+    # The singular rungs are k <= -s-ell-1 with k = ell-s-1 (mod 2); there
+    # p = (ell - s - 1 - k) / 2 >= ell holds by construction.
+    for k in range((ell - s_int - 1) % 2, min(len(coeffs), -s_int - ell), 2):
         a = coeffs[k]
         if a == 0:
             continue
@@ -115,7 +117,7 @@ def q_sl(pf: PseudoFunction) -> DeltaSum:
 
     Coincides with ``q_s`` termwise when ell = 0 (the angular correction
     factor is 1 there).  Nonempty iff some a_k != 0 sits on a singular
-    rung k + s - ell = -2p - 1 with nonnegative integer p and 2p >= ell.
+    rung k + s - ell = -2p - 1 with integer p >= ell.
     """
     return _delta_sum(pf.radial.s, pf.radial.coeffs, pf.angular.ell, pf.angular.mu)
 
@@ -125,7 +127,7 @@ def laplacian_power(s, ell: int, mu: int) -> DistributionExpr:
 
     The function-sense part is [s(s+1) - ell(ell+1)] r^(s-2) Y_ell^mu; a
     delta term coeff_B * coeff_C * r^ell Y_ell^mu lap^p(delta) appears
-    exactly when p = -(s+1-ell)/2 is a nonnegative integer with 2p >= ell.
+    exactly when p = -(s+1-ell)/2 is an integer with p >= ell.
     """
     one = 1.0 if isinstance(s, float) else 1
     return laplacian(PseudoFunction(RadialSeries(s, (one,)), AngularLabel(ell, mu)))

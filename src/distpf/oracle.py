@@ -47,11 +47,10 @@ ell by ``solid_harmonic`` from one closed-form rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import ExactScalar, _double_factorial
+from .coeffs import ExactScalar, _double_factorial, _Record
 from .distlap import _integral_exponent, laplacian
 from .pseudofunction import AngularLabel, DeltaTerm, PseudoFunction
 
@@ -116,8 +115,7 @@ def _poly_laplacian(p: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(_Record):
     """P(x, y, z) * exp(-alpha r^2) with rational polynomial and width.
 
     ``terms`` is a canonical tuple of ((a, b, c), coefficient) pairs.  The
@@ -127,17 +125,17 @@ class TestFunction:
 
     __test__ = False  # not a pytest class, despite the name
 
-    terms: tuple
-    alpha: Fraction
+    _fields = ("terms", "alpha")
 
-    def __post_init__(self):
-        alpha = Fraction(self.alpha)
+    def __init__(self, terms: tuple, alpha: Fraction):
+        alpha = Fraction(alpha)
         if alpha <= 0:
             raise ValueError("Gaussian width alpha must be positive")
+        terms = _poly_canonical(dict(terms))
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "terms", _poly_canonical(dict(self.terms)))
         # Hashed once: cache lookups would otherwise rehash every Fraction.
-        object.__setattr__(self, "_hash", hash((self.terms, alpha)))
+        object.__setattr__(self, "_hash", hash((terms, alpha)))
 
     def __hash__(self) -> int:
         return self._hash

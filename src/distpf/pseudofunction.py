@@ -27,12 +27,11 @@ All types are immutable and freely shareable across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
 
-from .coeffs import ExactScalar
+from .coeffs import ExactScalar, _Record
 
 __all__ = [
     "RadialSeries",
@@ -56,8 +55,7 @@ def _one_mode(values: tuple) -> tuple[tuple, bool]:
     return tuple(a if type(a) is Fraction else Fraction(a) for a in values), True
 
 
-@dataclass(frozen=True)
-class RadialSeries:
+class RadialSeries(_Record):
     """r^s times a truncated power series with nonzero leading coefficient.
 
     ``coeffs`` runs a_0 .. a_N (N is the truncation order); trailing zeros
@@ -67,18 +65,17 @@ class RadialSeries:
     the coefficients; it takes part in ``==`` and ``hash`` but not ``repr``.
     """
 
-    s: int | float
-    coeffs: tuple
-    is_exact: bool = field(init=False, repr=False)
+    _fields, _hidden = ("s", "coeffs"), ("is_exact",)
 
-    def __post_init__(self):
-        coeffs, exact = _one_mode(tuple(self.coeffs))
+    def __init__(self, s: int | float, coeffs: tuple):
+        coeffs, exact = _one_mode(tuple(coeffs))
         if not coeffs:
-            object.__setattr__(self, "s", 0)
-        elif exact and not isinstance(self.s, int):
+            s = 0
+        elif exact and not isinstance(s, int):
             raise ValueError("exact-mode series require an integer leading exponent")
         elif coeffs[0] == 0:
             raise ValueError("leading coefficient must be nonzero")
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "is_exact", exact)
 
@@ -120,71 +117,75 @@ class RadialSeries:
         return RadialSeries(self.s, tuple(map(mul, self.coeffs, repeat(factor))))
 
 
-@dataclass(frozen=True)
-class AngularLabel:
+class AngularLabel(_Record):
     """Degree and order (ell, mu) of a spherical-harmonic factor."""
 
-    ell: int
-    mu: int
+    _fields = ("ell", "mu")
 
-    def __post_init__(self):
-        if self.ell < 0:
-            raise ValueError(f"ell must be nonnegative, got {self.ell}")
-        if abs(self.mu) > self.ell:
-            raise ValueError(f"|mu| <= ell violated: ell={self.ell}, mu={self.mu}")
+    def __init__(self, ell: int, mu: int):
+        if ell < 0:
+            raise ValueError(f"ell must be nonnegative, got {ell}")
+        if abs(mu) > ell:
+            raise ValueError(f"|mu| <= ell violated: ell={ell}, mu={mu}")
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "mu", mu)
 
 
-@dataclass(frozen=True)
-class PseudoFunction:
+class PseudoFunction(_Record):
     """A radial series with an angular label: the symbolic separable state."""
 
-    radial: RadialSeries
-    angular: AngularLabel
+    _fields = ("radial", "angular")
+
+    def __init__(self, radial: RadialSeries, angular: AngularLabel):
+        object.__setattr__(self, "radial", radial)
+        object.__setattr__(self, "angular", angular)
 
     @property
     def is_zero(self) -> bool:
         return self.radial.is_zero
 
 
-@dataclass(frozen=True)
-class DeltaTerm:
+class DeltaTerm(_Record):
     """coefficient * r^ell * Y_ell^mu * laplacian^p(delta).
 
     For ell = 0 the angular factor is absent (a bare iterated delta).  A
-    term with 2p < ell would be identically zero and may not be stored;
-    neither may a zero coefficient.
+    term with p < ell is identically zero and may not be stored: it pairs
+    with phi as lap^p(H phi)(0), H = r^ell Y_ell^mu harmonic of degree ell,
+    and H is orthogonal on the sphere to every polynomial of degree
+    2p - ell < ell.  Neither may a zero coefficient be stored.
     """
 
-    coefficient: ExactScalar
-    ell: int
-    mu: int
-    p: int
+    _fields = ("coefficient", "ell", "mu", "p")
 
-    def __post_init__(self):
-        if self.coefficient.is_zero:
+    def __init__(self, coefficient: ExactScalar, ell: int, mu: int, p: int):
+        if coefficient.is_zero:
             raise ValueError("delta term with zero coefficient")
-        if self.p < 0:
-            raise ValueError(f"p must be nonnegative, got {self.p}")
-        AngularLabel(self.ell, self.mu)  # raises on a bad label
-        if 2 * self.p < self.ell:
-            raise ValueError(
-                f"term with 2p < ell is identically zero (ell={self.ell}, p={self.p})"
-            )
+        if p < 0:
+            raise ValueError(f"p must be nonnegative, got {p}")
+        AngularLabel(ell, mu)  # raises on a bad label
+        if p < ell:
+            raise ValueError(f"term with p < ell is identically zero (ell={ell}, p={p})")
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "p", p)
 
     @property
     def key(self) -> tuple[int, int, int]:
         return (self.ell, self.mu, self.p)
 
 
-@dataclass(frozen=True)
-class DeltaSum:
+class DeltaSum(_Record):
     """A finite sum of delta terms; the empty sum is the zero distribution.
 
     Terms are kept sorted by (ell, mu, p) with at most one term per key, so
     equality is structural.
     """
 
-    terms: tuple[DeltaTerm, ...] = ()
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple[DeltaTerm, ...] = ()):
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def build(terms) -> "DeltaSum":
@@ -232,12 +233,14 @@ class DeltaSum:
         return ExactScalar.zero()
 
 
-@dataclass(frozen=True)
-class DistributionExpr:
+class DistributionExpr(_Record):
     """Result of a distributional operator: pseudofunction part + delta sum."""
 
-    pf_part: PseudoFunction
-    delta_part: DeltaSum
+    _fields = ("pf_part", "delta_part")
+
+    def __init__(self, pf_part: PseudoFunction, delta_part: DeltaSum):
+        object.__setattr__(self, "pf_part", pf_part)
+        object.__setattr__(self, "delta_part", delta_part)
 
 
 def from_u(u: RadialSeries, angular: AngularLabel) -> PseudoFunction:

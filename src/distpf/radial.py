@@ -28,11 +28,11 @@ The problem data live here too: ``PotentialModel`` for V(r) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, lcm
 from operator import mul
 
+from .coeffs import _Record
 from .pseudofunction import RadialSeries, _one_mode
 
 __all__ = [
@@ -48,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PotentialModel:
+class PotentialModel(_Record):
     """Central potential v_(-1)/r + v_0 + v_1 r + ... (no stronger singularity).
 
     Coefficients are exact rationals or floats, never mixed, by the rule
@@ -57,12 +56,10 @@ class PotentialModel:
     in ``==`` and ``hash`` but not ``repr``.
     """
 
-    v_minus1: object = Fraction(0)
-    v: tuple = ()
-    is_exact: bool = field(init=False, repr=False)
+    _fields, _hidden = ("v_minus1", "v"), ("is_exact",)
 
-    def __post_init__(self):
-        (v_minus1, *v), exact = _one_mode((self.v_minus1, *self.v))
+    def __init__(self, v_minus1: object = Fraction(0), v: tuple = ()):
+        (v_minus1, *v), exact = _one_mode((v_minus1, *v))
         object.__setattr__(self, "v_minus1", v_minus1)
         object.__setattr__(self, "v", tuple(v))
         object.__setattr__(self, "is_exact", exact)
@@ -76,16 +73,16 @@ class PotentialModel:
         return PotentialModel(v_minus1=strength)
 
 
-@dataclass(frozen=True)
-class PhysicalUnits:
+class PhysicalUnits(_Record):
     """The scale hbar^2/2m in front of the kinetic term; exact and positive."""
 
-    hbar2_over_2m: Fraction = Fraction(1)
+    _fields = ("hbar2_over_2m",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "hbar2_over_2m", Fraction(self.hbar2_over_2m))
-        if self.hbar2_over_2m <= 0:
+    def __init__(self, hbar2_over_2m: Fraction = Fraction(1)):
+        hbar2_over_2m = Fraction(hbar2_over_2m)
+        if hbar2_over_2m <= 0:
             raise ValueError("hbar^2/2m must be positive")
+        object.__setattr__(self, "hbar2_over_2m", hbar2_over_2m)
 
     def to_float(self) -> float:
         """hbar^2/2m for the float recurrence; ValueError unless it is a positive finite float."""
@@ -109,20 +106,26 @@ class LogObstruction(Exception):
         )
 
 
-@dataclass(frozen=True)
-class FreeParameterSetToZero:
+class FreeParameterSetToZero(_Record):
     """A resonant order whose free coefficient was fixed to zero."""
 
-    order: int
+    _fields = ("order",)
+
+    def __init__(self, order: int):
+        object.__setattr__(self, "order", order)
 
 
-@dataclass(frozen=True)
-class FrobeniusResult:
+class FrobeniusResult(_Record):
     """Series for u(r) (leading exponent root+1), plus resonance bookkeeping."""
 
-    series: RadialSeries
-    root_used: int
-    resonance_report: FreeParameterSetToZero | None = None
+    _fields = ("series", "root_used", "resonance_report")
+
+    def __init__(
+        self, series: RadialSeries, root_used: int, resonance_report: FreeParameterSetToZero | None = None
+    ):
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "root_used", root_used)
+        object.__setattr__(self, "resonance_report", resonance_report)
 
 
 def indicial_roots(ell: int) -> tuple[int, int]:

@@ -124,6 +124,20 @@ class TestSerialization:
         assert (flipped.s, flipped.coeffs) == (s.s, s.coeffs)
         assert flipped != s and not flipped.is_exact
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"s": 2.5, "coeffs": ["1"], "mode": "exact"}, "s"),  # was truncated to s = 2
+            ({"s": 2.0, "coeffs": ["1"], "mode": "exact"}, "s"),
+            ({"s": 0, "coeffs": ["1/2"], "mode": "float"}, "coeffs"),
+            ({"s": 0, "coeffs": [1.0, None], "mode": "float"}, "coeffs"),
+            ({"s": 0, "coeffs": ["1/0"], "mode": "exact"}, "coeffs"),
+        ],
+    )
+    def test_series_document_that_does_not_fit_its_mode_is_rejected(self, doc, key):
+        with pytest.raises(ValueError, match=f"^series key {key}: "):
+            parse_series(doc)
+
     def test_expr_round_trip(self):
         pf = PseudoFunction(RadialSeries.exact(-3, (1, 2)), AngularLabel(1, -1))
         expr = laplacian(pf)

@@ -126,3 +126,10 @@ class TestCoefficientB:
         for ell in range(21):
             for p in range(21):
                 assert not coeff_B(ell, p).is_zero
+
+    def test_rung_weight_is_the_residue(self):
+        # B(ell, p) C_p = (2 ell - 4p - 1) 4 pi / (2p+1)!, since 2^p p! (2p+1)!! = (2p+1)!.
+        for ell in range(13):
+            for p in range(25):
+                residue = pi_times(Fraction((2 * ell - 4 * p - 1) * 4, factorial(2 * p + 1)))
+                assert coeff_B(ell, p) * coeff_C(p) == residue

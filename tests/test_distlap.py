@@ -68,6 +68,13 @@ class TestLaplacianPower:
         assert expr.delta_part.coefficient_at(1, 1, 1) == coeff_B(1, 1) * coeff_C(1)
         assert expr.delta_part.coefficient_at(1, 1, 1) == PI * (-2)
 
+    def test_quadrupole_over_r_has_no_delta_part(self):
+        # Frahm: lap(Y_2 / r) has only the function part; r^2 Y_2 lap(delta) is zero.
+        for mu in range(-2, 3):
+            expr = laplacian(pf_of(-1, (1,), ell=2, mu=mu))
+            assert expr.delta_part.is_empty
+            assert (expr.pf_part.radial.s, expr.pf_part.radial.coeffs) == (-3, (-6,))
+
     def test_float_nonintegral_exponent_has_no_delta(self):
         expr = laplacian_power(-1.5, 0, 0)
         assert expr.delta_part.is_empty
@@ -184,7 +191,7 @@ def _delta_sum_reference(s, coeffs, ell, mu):
         if t > 0 or t % 2 != 0:
             continue
         p = -t // 2
-        if 2 * p < ell:
+        if p < ell:
             continue
         if isinstance(a, float) and not math.isfinite(a):
             raise ValueError(f"coefficient a_{k} = {a} on a singular rung has no exact weight")

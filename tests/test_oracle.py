@@ -325,7 +325,7 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
 def delta_pairings(draw):
     ell = draw(st.integers(min_value=0, max_value=4))
     mu = draw(st.integers(min_value=-ell, max_value=ell))
-    p = draw(st.integers(min_value=-(-ell // 2), max_value=8))
+    p = draw(st.integers(min_value=ell, max_value=8))
     weight = ExactScalar.from_map(
         {draw(st.integers(min_value=-2, max_value=2)): draw(rationals.filter(bool))}
     )
@@ -451,7 +451,7 @@ def cached_pairings(draw):
     )
     poly = draw(st.dictionaries(monomials, rationals, min_size=1, max_size=5))
     alpha = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3, 7)]))
-    p = draw(st.integers(min_value=-(-ell // 2), max_value=ell + 4))
+    p = draw(st.integers(min_value=ell, max_value=ell + 4))
     term = DeltaTerm(ExactScalar.rational(draw(rationals.filter(bool))), ell, mu, p)
     return pf, TestFunction.from_poly(poly, alpha), term
 

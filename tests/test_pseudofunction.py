@@ -227,6 +227,8 @@ class TestDeltaTypes:
     def test_identically_zero_term_rejected(self):
         with pytest.raises(ValueError):
             DeltaTerm(ExactScalar.one(), 3, 0, 1)  # 2p < ell
+        with pytest.raises(ValueError, match="p < ell"):
+            DeltaTerm(ExactScalar.one(), 3, 0, 2)  # ell <= 2p < 2 ell: still the zero distribution
 
     def test_sum_merges_and_cancels(self):
         t = DeltaTerm(ExactScalar.rational(2), 0, 0, 1)

@@ -1,5 +1,6 @@
 """Module structure of distpf: an acyclic import graph, imports at top level only,
-stdlib only, and a package namespace that is the union of the module ``__all__`` lists."""
+stdlib only, ``dataclasses`` in ``classify`` only, and a package namespace that is
+the union of the module ``__all__`` lists."""
 
 import ast
 import graphlib
@@ -28,6 +29,17 @@ def _relative_imports(tree) -> set:
     return out
 
 
+def _absolute_imports(tree) -> list:
+    """Names of the modules a module imports by absolute name anywhere in its body."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append(node.module)
+    return out
+
+
 def test_relative_imports_form_no_cycle():
     trees = _trees()
     graph = {name: _relative_imports(tree) & trees.keys() for name, tree in trees.items()}
@@ -51,21 +63,30 @@ def test_no_import_inside_a_function():
 
 
 def test_only_stdlib_imports():
-    found = []
-    for name, tree in _trees().items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            found += [
-                f"{name}.py:{module}"
-                for module in modules
-                if module.split(".")[0] not in sys.stdlib_module_names
-            ]
+    found = [
+        f"{name}.py:{module}"
+        for name, tree in _trees().items()
+        for module in _absolute_imports(tree)
+        if module.split(".")[0] not in sys.stdlib_module_names
+    ]
     assert found == []
+
+
+def test_only_classify_imports_dataclasses():
+    """The value types derive from ``coeffs._Record``, which builds them without code.
+
+    ``@dataclass`` writes and ``exec``s each class's methods at import, a cost
+    every CLI call pays.  ``classify.Verdict`` stays a dataclass because
+    ``perfbench/test_perfbench.py`` builds wrong verdicts with
+    ``dataclasses.replace``; no other module may bring the import back.
+    """
+    found = [
+        name
+        for name, tree in _trees().items()
+        for module in _absolute_imports(tree)
+        if module.split(".")[0] == "dataclasses"
+    ]
+    assert found == ["classify"]
 
 
 def test_no_unused_imports():
