@@ -242,14 +242,17 @@ def serialize_series(series: RadialSeries) -> dict:
 
 def parse_series(doc: dict) -> RadialSeries:
     """The series a ``serialize_series`` document holds; ValueError names a key that does not fit the mode."""
-    exact = doc["mode"] == "exact"
-    if exact and type(doc["s"]) is not int:
-        raise ValueError(f"series key s: exact mode needs an integer, got {doc['s']!r}")
+    mode, s = doc["mode"], doc["s"]
+    if mode not in ("exact", "float"):
+        raise ValueError(f"series key mode: expected 'exact' or 'float', got {mode!r}")
+    exact = mode == "exact"
+    if type(s) not in ((int,) if exact else (int, float)):
+        raise ValueError(f"series key s: {mode} mode needs {'an integer' if exact else 'a number'}, got {s!r}")
     try:
         coeffs = tuple(map(Fraction if exact else float, doc["coeffs"]))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"series key coeffs: {exc}") from None
-    return RadialSeries(doc["s"], coeffs)
+    return RadialSeries(s, coeffs)
 
 
 def serialize_pf(pf: PseudoFunction) -> dict:

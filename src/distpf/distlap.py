@@ -183,8 +183,15 @@ def delta_source(pf: PseudoFunction, units: PhysicalUnits) -> DeltaSum:
 
     This is the delta part of H Pf for a series solving the radial
     equation, and the right-hand-side source a classified state carries.
+    Every term carries the label's ell, so one factor scales them all:
+    -(hbar^2/2m), times 1/sqrt(4*pi) at l = 0.  An empty sum (every
+    regular state) is returned as is.
     """
-    return fold_y00(q_sl(pf)).scaled(ExactScalar.rational(-units.hbar2_over_2m))
+    q = q_sl(pf)
+    if q.is_empty:
+        return q
+    factor = ExactScalar.rational(-units.hbar2_over_2m)
+    return q.scaled(factor * Y00 if pf.angular.ell == 0 else factor)
 
 
 def hamiltonian_apply(
@@ -207,7 +214,7 @@ def hamiltonian_apply(
     which carries the residual on top of E * Pf at the shifted exponent.
     """
     resid = radial.radial_residuals(V, pf.angular.ell, E, units, pf.radial)
-    bad = [m for m, r in enumerate(resid) if r != 0]
+    bad = [m for m, r in enumerate(resid) if r]
     if bad and strict:
         raise NotRadialSolution(bad)
 

@@ -20,7 +20,10 @@ set to zero, yielding a canonical representative of the singular branch)
 or it does not, in which case no pure power series exists and the solver
 raises ``LogObstruction``.  Exact rows run in integers over a common
 denominator (fraction-free, as in Bareiss, Math. Comp. 22, 1968) and
-return reduced ``Fraction``s.
+return reduced ``Fraction``s.  ``radial_residuals`` sums its rows lag by
+lag: the kinetic term of every row first, then each lag weight added to
+all rows at once, in ``_row_sum``'s order, so float rows round exactly as
+the row-at-a-time sum would.
 
 The problem data live here too: ``PotentialModel`` for V(r) and
 ``PhysicalUnits`` for kappa.
@@ -29,8 +32,9 @@ The problem data live here too: ``PotentialModel`` for V(r) and
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import isfinite, lcm
-from operator import mul
+from operator import add, mul
 
 from .coeffs import _Record
 from .pseudofunction import RadialSeries, _one_mode
@@ -150,14 +154,15 @@ def _lag_weights(V: PotentialModel, E) -> tuple:
     return (V.v_minus1, (V.v[0] if V.v else 0) - E, *V.v[1:])
 
 
-def _row_sum(w, a, m: int, acc=None):
-    """acc plus sum_d w[d-1] a_(m-d) over the lags d <= m, added left to right.
+def _row_sum(w, a, m: int):
+    """sum_d w[d-1] a_(m-d) over the lags 1 <= d <= m, added left to right.
 
-    For float rows.  Without acc the sum starts at its first term (a -0.0
-    row stays -0.0); row 0 has no terms and returns acc.
+    For float rows of ``frobenius`` (m >= 1).  The sum starts at its first
+    term, so a -0.0 row stays -0.0.
     """
-    for d in range(1, min(len(w), m) + 1):
-        acc = w[d - 1] * a[m - d] if acc is None else acc + w[d - 1] * a[m - d]
+    acc = w[0] * a[m - 1]
+    for d in range(2, min(len(w), m) + 1):
+        acc = acc + w[d - 1] * a[m - d]
     return acc
 
 
@@ -257,16 +262,17 @@ def radial_residuals(
         K, c, L = _integer_row(w, kappa)
         M = lcm(*(x.denominator for x in a))
         n = [x.numerator * (M // x.denominator) for x in a]
-        LM, J = L * M, len(c)
-        rows = []
-        for m in range(len(n)):
-            lags = reversed(n[max(m - J, 0):m])  # n_(m-1), ..., n_(m-J): row m's window
-            x = sum(map(mul, c, lags)) - K * _indicial(m, s, ell) * n[m]
-            rows.append(Fraction(x, LM) if x else _ZERO)
-        return rows
+        rows = [-K * _indicial(m, s, ell) * x for m, x in enumerate(n)]
+        for d, cd in enumerate(c, 1):
+            if cd:
+                rows[d:] = map(add, rows[d:], map(mul, repeat(cd), n))
+        LM = L * M
+        return [Fraction(x, LM) if x else _ZERO for x in rows]
     units.to_float()  # the float range check only: the rows below keep kappa exact
     # Float rows: int / int rounds -kappa D(m) once, exactly as float(Fraction) would.
-    return [
-        _row_sum(w, a, m, -(kappa.numerator * _indicial(m, s, ell)) / kappa.denominator * a[m])
-        for m in range(len(a))
-    ]
+    # Every lag weight is added, zeros too: 0.0 * inf and -0.0 + 0.0 change a row.
+    kn, kd = kappa.numerator, kappa.denominator
+    rows = [-(kn * _indicial(m, s, ell)) / kd * x for m, x in enumerate(a)]
+    for d, wd in enumerate(w, 1):
+        rows[d:] = map(add, rows[d:], map(mul, repeat(wd), a))
+    return rows

@@ -132,6 +132,13 @@ class TestSerialization:
             ({"s": 0, "coeffs": ["1/2"], "mode": "float"}, "coeffs"),
             ({"s": 0, "coeffs": [1.0, None], "mode": "float"}, "coeffs"),
             ({"s": 0, "coeffs": ["1/0"], "mode": "exact"}, "coeffs"),
+            ({"s": "x", "coeffs": [1.0], "mode": "float"}, "s"),  # was RadialSeries(s='x', ...)
+            ({"s": None, "coeffs": [1.0], "mode": "float"}, "s"),
+            ({"s": True, "coeffs": [1.0], "mode": "float"}, "s"),
+            ({"s": True, "coeffs": ["1"], "mode": "exact"}, "s"),
+            ({"s": 0, "coeffs": [1.0], "mode": "exakt"}, "mode"),  # was read as float
+            ({"s": 0, "coeffs": [1.0], "mode": None}, "mode"),
+            ({"s": 0, "coeffs": ["1"], "mode": "Exact"}, "mode"),
         ],
     )
     def test_series_document_that_does_not_fit_its_mode_is_rejected(self, doc, key):
@@ -680,4 +687,61 @@ def test_main_exit_codes_on_any_input(tmp_path, monkeypatch, capsys, command, li
     assert code in (0, 1, 2, 3)
     if code == 1:
         err = capsys.readouterr().err
+        assert err.startswith("distpf: ") and err.count("\n") == 1
+
+
+# Free value text.  Its numbers stay small: the CLI caps neither ell, s nor order,
+# and large ones are slow by the size of the exact arithmetic, not by a fault.
+_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4)
+_PIECES = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.sampled_from(["1/3", "-0.25", "nan", "-inf", "1e400", "1e-400", "1/0", "٣", "exact", "float", "both", "on"]),
+    _TEXT,
+)
+_VALUE_TEXT = st.tuples(st.sampled_from([",", " ", "/", ""]), st.lists(_PIECES, max_size=3)).map(
+    lambda sep_pieces: sep_pieces[0].join(sep_pieces[1])
+)
+
+
+def _free_value(key):
+    """Text for key: one of its sampled texts (two times in three) or free text."""
+    sampled = st.sampled_from(_FIELD_TEXTS[key])
+    return st.one_of(sampled, sampled, _VALUE_TEXT)
+
+
+# Three lines in four name a key the CLI knows (or nearly: `enrgy`, `v[x]`), and
+# about one in eight lacks its `=`.
+_KNOWN_LINE = st.sampled_from(sorted(_FIELD_TEXTS)).flatmap(lambda k: st.tuples(st.just(k), _free_value(k)))
+_CONFIG_LINE = st.tuples(
+    st.one_of(_KNOWN_LINE, _KNOWN_LINE, _KNOWN_LINE, st.tuples(_TEXT, _VALUE_TEXT)),
+    st.sampled_from([" = "] * 4 + ["="] * 3 + [" "]),
+).map(lambda line: f"{line[0][0]}{line[1]}{line[0][1]}\n")
+_FLAG = st.tuples(
+    st.sampled_from(list(_FLAG_FIELDS)).flatmap(lambda k: st.tuples(st.just(k), _free_value(k))), st.booleans()
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["coeffs", "laplacian", "solve", "classify", "verify"]),
+    lines=st.lists(_CONFIG_LINE, max_size=3),
+    flags=st.lists(_FLAG, max_size=3),
+    switches=st.sampled_from([[], ["--verify"], ["--json", "out.json"]]),
+)
+def test_main_exits_cleanly_on_free_text(tmp_path, monkeypatch, capsys, command, lines, flags, switches):
+    # Config lines and flag values as arbitrary text: every run ends in an exit
+    # code, and a rejected one in one line of diagnostics, never a traceback.
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("".join(lines), encoding="utf-8")
+    argv = [command, "--config", str(cfg), *switches]
+    for (key, text), joined in flags:
+        flag = f"--{key.replace('_', '-')}"
+        argv += [f"{flag}={text}"] if joined else [flag, text]
+    code = main(argv)
+    assert code in (0, 1, 2, 3)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 1:
         assert err.startswith("distpf: ") and err.count("\n") == 1

@@ -13,6 +13,7 @@ from distpf import (
     DeltaSum,
     DeltaTerm,
     ExactScalar,
+    LogObstruction,
     NotRadialSolution,
     PhysicalUnits,
     PotentialModel,
@@ -20,15 +21,18 @@ from distpf import (
     RadialSeries,
     coeff_B,
     coeff_C,
+    delta_source,
     fold_y00,
     frobenius,
     from_u,
     hamiltonian_apply,
+    indicial_roots,
     laplacian,
     laplacian_power,
     q_s,
     q_sl,
     radial_operator,
+    radial_residuals,
 )
 from distpf.distlap import _delta_sum
 
@@ -294,6 +298,72 @@ class TestFoldY00:
         folded = fold_y00(ds)
         assert folded.coefficient_at(0, 0, 0) == ExactScalar.pi_term(-2, 1)  # -2 sqrt(pi)
         assert folded.coefficient_at(1, 0, 1) == PI * (-2)
+
+
+@st.composite
+def labelled_states(draw):
+    """(ell, mu, root, exact) with ell <= 4 and either indicial root."""
+    ell = draw(st.integers(min_value=0, max_value=4))
+    root = draw(st.sampled_from(indicial_roots(ell)))
+    return ell, draw(st.integers(min_value=-ell, max_value=ell)), root, draw(st.booleans())
+
+
+units_values = st.sampled_from([1, Fraction(1, 2), Fraction(3, 2), Fraction(2, 7)]).map(PhysicalUnits)
+
+
+class TestDeltaSource:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        labelled_states(),
+        st.integers(min_value=0, max_value=6),
+        st.lists(exact_coeffs, min_size=1, max_size=12),
+        units_values,
+    )
+    def test_is_the_folded_q_sl_scaled_by_minus_kappa(self, state, depth, coeffs, units):
+        # Exponents from the root down by `depth` reach deeper rungs than the root alone.
+        ell, mu, root, exact = state
+        if coeffs[0] == 0:
+            coeffs[0] = 1
+        series = RadialSeries.exact(root - depth, coeffs)
+        if not exact:
+            series = RadialSeries(float(series.s), tuple(map(float, series.coeffs)))
+        pf = PseudoFunction(series, AngularLabel(ell, mu))
+        got = delta_source(pf, units)
+        expected = fold_y00(q_sl(pf)).scaled(ExactScalar.rational(-units.hbar2_over_2m))
+        assert len(got) == len(expected)
+        for t, u in zip(got, expected):
+            assert t == u and repr(t) == repr(u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        labelled_states(),
+        exact_coeffs,
+        st.lists(exact_coeffs, max_size=3),
+        exact_coeffs,
+        st.integers(min_value=1, max_value=30),
+        units_values,
+    )
+    def test_strict_apply_equals_lenient_on_a_solution(self, state, vm1, v, E, N, units):
+        ell, mu, root, exact = state
+        V = PotentialModel(vm1, tuple(v))
+        if not exact:
+            V, E = PotentialModel(float(vm1), tuple(map(float, v))), float(E)
+        try:
+            u = frobenius(V, ell, E, root, N, units).series
+        except LogObstruction:
+            return
+        pf = from_u(u, AngularLabel(ell, mu))
+        lenient = hamiltonian_apply(pf, V, E, units)
+        bad = tuple(m for m, r in enumerate(radial_residuals(V, ell, E, units, pf.radial)) if r != 0)
+        if bad:  # float round-off only: exact series always solve their rows
+            assert not exact
+            with pytest.raises(NotRadialSolution) as err:
+                hamiltonian_apply(pf, V, E, units, strict=True)
+            assert err.value.orders == bad
+            return
+        strict = hamiltonian_apply(pf, V, E, units, strict=True)
+        assert strict == lenient and repr(strict) == repr(lenient)
+        assert strict.delta_part == delta_source(pf, units)
 
 
 class TestHamiltonianApply:

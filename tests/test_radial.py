@@ -1,7 +1,7 @@
 """Series solver: indicial roots, recurrence, resonances, residuals."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf, nan
 
 import pytest
 from hypothesis import assume, given, settings
@@ -197,6 +197,12 @@ kappas = st.one_of(
     st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7),
 )
 
+# Signed zeros, non-finite values and extremes, which a reordered sum would round differently.
+float_coeffs = st.one_of(
+    st.floats(-4, 4),
+    st.sampled_from([0.0, -0.0, inf, -inf, nan, 1e-300, -3.7e200]),
+)
+
 
 @st.composite
 def exact_problems(draw, even=False):
@@ -310,13 +316,20 @@ class TestIntegerRecurrence:
         assert all(r == 0 for r in got[:index])
         assert got[index] == -Fraction(kappa) * D * delta
 
-    @settings(max_examples=100, deadline=None)
-    @given(exact_problems(), st.lists(st.floats(-4, 4), min_size=1, max_size=30))
-    def test_float_residuals_round_like_fraction_kinetic_factor(self, problem, coeffs):
-        # The float kinetic factor must equal float(-kappa * D(m)) bit for bit.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        exact_problems(),
+        st.lists(st.one_of(st.just(0), rationals), max_size=6),
+        st.lists(float_coeffs, min_size=1, max_size=30),
+    )
+    def test_float_residuals_round_like_fraction_kinetic_factor(self, problem, extra, coeffs):
+        # Every row must equal the row-at-a-time sum bit for bit: the kinetic
+        # factor rounded like float(-kappa * D(m)), then each lag weight added in
+        # order, zero weights included.  Up to 10 weights against as few as one
+        # coefficient, so some series are shorter than the lag window.
         V, ell, E, root, _, kappa = problem
         assume(coeffs[0] != 0)
-        Vf = PotentialModel(float(V.v_minus1), tuple(float(c) for c in V.v))
+        Vf = PotentialModel(float(V.v_minus1), tuple(float(c) for c in (*V.v, *extra)))
         Ef, kappa = float(E), Fraction(kappa)
         a = tuple(coeffs)
         got = radial_residuals(Vf, ell, Ef, PhysicalUnits(kappa), RadialSeries(root, a))
