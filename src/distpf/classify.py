@@ -107,7 +107,7 @@ class Verdict:
         if series is None or series.s < 0:
             return None
         if series.s == 0:
-            return series.coeffs[0]
+            return series._head(1)[0]
         return Fraction(0) if series.is_exact else 0.0
 
     @property

@@ -119,7 +119,11 @@ def q_sl(pf: PseudoFunction) -> DeltaSum:
     factor is 1 there).  Nonempty iff some a_k != 0 sits on a singular
     rung k + s - ell = -2p - 1 with integer p >= ell.
     """
-    return _delta_sum(pf.radial.s, pf.radial.coeffs, pf.angular.ell, pf.angular.mu)
+    rad, ell = pf.radial, pf.angular.ell
+    s_int = _integral_exponent(rad.s)
+    # Only a_k with k < -s - ell can sit on a singular rung; the rest stay unread.
+    head = rad._head(-s_int - ell) if s_int is not None else ()
+    return _delta_sum(rad.s, head, ell, pf.angular.mu)
 
 
 def laplacian_power(s, ell: int, mu: int) -> DistributionExpr:
@@ -216,6 +220,9 @@ def hamiltonian_apply(
     resid = radial.radial_residuals(V, pf.angular.ell, E, units, pf.radial)
     bad = [m for m, r in enumerate(resid) if r]
     if bad and strict:
+        # A caller that keeps the exception keeps this frame through its
+        # traceback, until the cycle collector runs: leave no rows in it.
+        del resid
         raise NotRadialSolution(bad)
 
     delta = delta_source(pf, units)

@@ -9,12 +9,21 @@ yields a ``DistributionExpr``: a pseudofunction part plus a finite
 
 Conventions
 -----------
-* Exact mode stores ``Fraction`` coefficients and requires an integer
-  leading exponent; float mode stores floats and allows any real exponent.
+* Exact mode holds rational coefficients and requires an integer
+  leading exponent; float mode holds floats and allows any real exponent.
   One rule, ``_one_mode``, picks the mode for a series and for a
   ``radial.PotentialModel``: a float anywhere makes every value a float.
   The mode is part of a value's identity, so an exact and a float value
   never compare equal.
+* An exact ``RadialSeries`` stores integer numerators over one positive
+  denominator, as FLINT's ``fmpq_poly`` does (Hart, ICMS 2010), kept
+  canonical: the gcd of the denominator and all numerators is 1, so the
+  denominator is the lcm of the reduced ones.  The tuple of reduced
+  ``Fraction``s, ``coeffs``, is built and cached on first read (``repr``,
+  JSON, report text, float conversion, and ``hash``, which stays that of
+  ``(s, coeffs, is_exact)``); ``==``, ``scaled``, ``from_u``, the delta
+  rungs and the recurrence rows read the integers.  A float series
+  stores its coefficients as they are, over 1.
 * A ``DeltaTerm`` with ell = 0 denotes  coefficient * laplacian^p(delta)
   with no angular factor at all.  For ell >= 1 it denotes
   coefficient * r^ell * Y_ell^mu * laplacian^p(delta)  with Y the real,
@@ -29,7 +38,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from operator import mul
+from math import gcd, lcm
+from operator import attrgetter, floordiv, mul
 
 from .coeffs import ExactScalar, _Record
 
@@ -63,9 +73,14 @@ class RadialSeries(_Record):
     leading zeros are forbidden.  The unique zero series has no
     coefficients, exponent 0, and is exact.  ``is_exact`` is derived from
     the coefficients; it takes part in ``==`` and ``hash`` but not ``repr``.
+
+    Stored are ``s``, ``is_exact`` and the numerators ``_nums`` over
+    ``_den`` (see the module Conventions), which ``==`` compares;
+    ``coeffs`` is derived and cached, and ``hash`` reads it.
     """
 
     _fields, _hidden = ("s", "coeffs"), ("is_exact",)
+    _stored = attrgetter("s", "_den", "_nums", "is_exact")
 
     def __init__(self, s: int | float, coeffs: tuple):
         coeffs, exact = _one_mode(tuple(coeffs))
@@ -75,9 +90,65 @@ class RadialSeries(_Record):
             raise ValueError("exact-mode series require an integer leading exponent")
         elif coeffs[0] == 0:
             raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "is_exact", exact)
+        den, nums = 1, coeffs
+        if exact:
+            den = lcm(*(a.denominator for a in coeffs))
+            nums = tuple(a.numerator * (den // a.denominator) for a in coeffs)
+        self._set(s, nums, den, exact, coeffs)
+
+    def _set(self, s, nums: tuple, den: int, exact: bool, coeffs: tuple | None = None):
+        put = object.__setattr__
+        put(self, "s", s)
+        put(self, "_nums", nums)
+        put(self, "_den", den)
+        put(self, "is_exact", exact)
+        put(self, "_coeffs", coeffs)  # None until first read
+        return self
+
+    @classmethod
+    def _over(cls, s: int, nums: list, den: int) -> "RadialSeries":
+        """The exact series r^s * sum_k nums[k] r^k / den; nums[0] and den nonzero.
+
+        ``nums`` is divided in place down to the canonical form and kept,
+        with the sign on the numerators.  The gcd starts from the last
+        numerator: for a ``frobenius`` series the first one is the
+        denominator itself, and starting there makes every step full-width.
+        """
+        g = gcd(den, *reversed(nums))
+        if den < 0:
+            g = -g
+        if g != 1:
+            for k, n in enumerate(nums):
+                nums[k] = n // g
+            den //= g
+        return object.__new__(cls)._set(s, tuple(nums), den, True)
+
+    def _with_exponent(self, s) -> "RadialSeries":
+        """The same coefficients at leading exponent s, shared, not copied."""
+        shared = object.__new__(RadialSeries)
+        return shared._set(s, self._nums, self._den, self.is_exact, self._coeffs)
+
+    @property
+    def coeffs(self) -> tuple:
+        """a_0 .. a_N; an exact series reduces each one once, on first read."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", self._head(len(self._nums)))
+        return self._coeffs
+
+    def _head(self, n: int) -> tuple:
+        """a_0 .. a_(n-1), or all if fewer, without reducing the others."""
+        n = max(n, 0)
+        if self._coeffs is not None:
+            return self._coeffs[:n]
+        den = self._den
+        return tuple([Fraction(x, den) for x in self._nums[:n]])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._stored(self) == other._stored(other)
+
+    __hash__ = _Record.__hash__
 
     # -- constructors --------------------------------------------------
 
@@ -104,17 +175,25 @@ class RadialSeries(_Record):
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     @property
     def order(self) -> int:
         """Truncation order N (number of stored coefficients minus one)."""
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def scaled(self, factor) -> "RadialSeries":
         if self.is_zero or factor == 0:
             return RadialSeries.zero()
-        return RadialSeries(self.s, tuple(map(mul, self.coeffs, repeat(factor))))
+        if not (self.is_exact and isinstance(factor, (int, Fraction))):
+            return RadialSeries(self.s, tuple(map(mul, self.coeffs, repeat(factor))))
+        # With the stored form canonical, dividing out gcd(den, p) and
+        # gcd(q, numerators) keeps the product canonical: no full-width gcd.
+        p, q = factor.numerator, factor.denominator
+        g, h = gcd(self._den, p), gcd(q, *self._nums)
+        nums = self._nums if h == 1 else map(floordiv, self._nums, repeat(h))
+        nums = tuple(map(mul, nums, repeat(p // g)))
+        return object.__new__(RadialSeries)._set(self.s, nums, self._den // g * (q // h), True)
 
 
 class AngularLabel(_Record):
@@ -251,4 +330,4 @@ def from_u(u: RadialSeries, angular: AngularLabel) -> PseudoFunction:
     """
     if u.is_zero:
         return PseudoFunction(RadialSeries.zero(), angular)
-    return PseudoFunction(RadialSeries(u.s - 1, u.coeffs), angular)
+    return PseudoFunction(u._with_exponent(u.s - 1), angular)

@@ -18,9 +18,13 @@ condition) and, for the lower root only, again at k = 2*ell + 1.  At that
 resonant order the right-hand side either vanishes (the free parameter is
 set to zero, yielding a canonical representative of the singular branch)
 or it does not, in which case no pure power series exists and the solver
-raises ``LogObstruction``.  Exact rows run in integers over a common
-denominator (fraction-free, as in Bareiss, Math. Comp. 22, 1968) and
-return reduced ``Fraction``s.  ``radial_residuals`` sums its rows lag by
+raises ``LogObstruction``.  Exact rows run in integers (fraction-free, as
+in Bareiss, Math. Comp. 22, 1968): each a_k = b_k / Q_k is kept as two
+integers, and at the end every b_k is brought over Q_N in place.  The
+series stores those numerators over one denominator and reduces no
+coefficient until one is read (see ``pseudofunction``).
+``radial_residuals`` sums exact rows over the series' own denominator,
+again without a ``Fraction`` per coefficient, and sums its rows lag by
 lag: the kinetic term of every row first, then each lag weight added to
 all rows at once, in ``_row_sum``'s order, so float rows round exactly as
 the row-at-a-time sum would.
@@ -199,12 +203,12 @@ def frobenius(
         # a_k = b_k / Q_k with Q_k = f_1 ... f_k and f_k = K D(k) (1 where
         # D(k) = 0), so b_k = sum_d c_d b_(k-d) f_(k-d+1) ... f_(k-1).
         K, c, _ = _integer_row(_lag_weights(V, Fraction(E)), units.hbar2_over_2m)
-        b, f, Q = [1], [1], 1
+        b, f = [1], [1]
     else:
         kappa = units.to_float()
         vm1, *vpoly = (float(x) / kappa for x in (V.v_minus1, *V.v))
         w = (vm1, (vpoly[0] if vpoly else 0) - float(E) / kappa, *vpoly[1:])
-    a = [Fraction(1) if exact else 1.0]
+        a = [1.0]
     resonance = None
     for k in range(1, N + 1):
         if exact:
@@ -223,17 +227,20 @@ def frobenius(
             resonance = FreeParameterSetToZero(k)
         if exact:
             f.append(K * D or 1)
-            Q *= f[k]
             b.append(rhs)
-            a.append(Fraction(rhs, Q))
         else:
             a.append(rhs / D if D else 0.0)
 
-    return FrobeniusResult(
-        series=RadialSeries(root + 1, tuple(a)),
-        root_used=root,
-        resonance_report=resonance,
-    )
+    if exact:
+        # Bring every b_k / Q_k over Q_N in place: b_k f_(k+1) ... f_N / Q_N.
+        Q = 1
+        for k in range(N, -1, -1):
+            b[k] *= Q
+            Q *= f[k]
+        series = RadialSeries._over(root + 1, b, Q)
+    else:
+        series = RadialSeries(root + 1, tuple(a))
+    return FrobeniusResult(series=series, root_used=root, resonance_report=resonance)
 
 
 # Every vanishing exact residual row is this one shared (immutable) Fraction.
@@ -255,13 +262,12 @@ def radial_residuals(
     stored coefficients.
     """
     kappa = units.hbar2_over_2m
-    s, a = series.s, series.coeffs
+    s = series.s
     w = _lag_weights(V, E)
     if series.is_exact and V.is_exact and not isinstance(E, float):
-        # Over the common denominator L*M, with n_k = a_k M in integers.
+        # Over the common denominator L*M, with the series' own n_k = a_k M.
         K, c, L = _integer_row(w, kappa)
-        M = lcm(*(x.denominator for x in a))
-        n = [x.numerator * (M // x.denominator) for x in a]
+        n, M = series._nums, series._den
         rows = [-K * _indicial(m, s, ell) * x for m, x in enumerate(n)]
         for d, cd in enumerate(c, 1):
             if cd:
@@ -269,6 +275,7 @@ def radial_residuals(
         LM = L * M
         return [Fraction(x, LM) if x else _ZERO for x in rows]
     units.to_float()  # the float range check only: the rows below keep kappa exact
+    a = series.coeffs
     # Float rows: int / int rounds -kappa D(m) once, exactly as float(Fraction) would.
     # Every lag weight is added, zeros too: 0.0 * inf and -0.0 + 0.0 change a row.
     kn, kd = kappa.numerator, kappa.denominator

@@ -1,5 +1,6 @@
 """The distributional Laplacian engine: delta sums, operators, Hamiltonian."""
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from distpf import (
     PotentialModel,
     PseudoFunction,
     RadialSeries,
+    classify_solution,
     coeff_B,
     coeff_C,
     delta_source,
@@ -37,6 +39,27 @@ from distpf import (
 from distpf.distlap import _delta_sum
 
 PI = ExactScalar.pi_term(1, 2)
+
+
+@contextlib.contextmanager
+def _counting_fractions(monkeypatch):
+    """Collect the class of every Fraction built inside the block."""
+    new, made = Fraction.__new__, []
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        if "_from_coprime_ints" in vars(Fraction):  # Python >= 3.12 builds products here
+            coprime = vars(Fraction)["_from_coprime_ints"].__func__
+            patch.setattr(
+                Fraction,
+                "_from_coprime_ints",
+                classmethod(lambda cls, n, d: made.append(cls) or coprime(cls, n, d)),
+            )
+        yield made
 
 
 def pf_of(s, coeffs, ell=0, mu=0):
@@ -415,31 +438,38 @@ class TestHamiltonianApply:
         assert (expr.pf_part.radial.s, expr.pf_part.radial.coeffs) == (-1, (-2,))
         assert expr.delta_part.is_empty
 
-    def test_strict_apply_builds_one_fraction_per_added_coefficient(self, monkeypatch):
-        # The E * Pf product is the only Fraction an extra coefficient costs:
-        # a vanishing residual row is one shared zero, not a new Fraction.
+    def test_strict_apply_builds_no_fraction_per_added_coefficient(self, monkeypatch):
+        # The residual rows and E * Pf run on the series' integer numerators:
+        # a vanishing row is one shared zero, and E * Pf is built without a
+        # Fraction, so 80 more orders cost no Fraction at all.
         V = PotentialModel(-2, (Fraction(3, 10), Fraction(7, 10)))
         E, units = Fraction(-1, 2), PhysicalUnits(Fraction(3, 2))
-        new, made = Fraction.__new__, []
-
-        def counting_new(cls, *args, **kwargs):
-            made.append(cls)
-            return new(cls, *args, **kwargs)
 
         def built(N):
             pf = from_u(frobenius(V, 1, E, 1, N, units).series, AngularLabel(1, 0))
-            made.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(Fraction, "__new__", staticmethod(counting_new))
-                if "_from_coprime_ints" in vars(Fraction):  # Python >= 3.12 builds products here
-                    coprime = vars(Fraction)["_from_coprime_ints"].__func__
-                    patch.setattr(
-                        Fraction,
-                        "_from_coprime_ints",
-                        classmethod(lambda cls, n, d: made.append(cls) or coprime(cls, n, d)),
-                    )
+            with _counting_fractions(monkeypatch) as made:
                 expr = hamiltonian_apply(pf, V, E, units, strict=True)
             assert expr.pf_part.radial == pf.radial.scaled(E)
             return len(made)
 
-        assert built(160) - built(80) == 80
+        assert built(160) - built(80) == 0
+
+    @pytest.mark.parametrize(
+        "V, ell, root",
+        [
+            (PotentialModel(-2, (Fraction(3, 10), Fraction(7, 10))), 1, 1),
+            (PotentialModel(0, (Fraction(3, 10), 0, Fraction(7, 10))), 1, -2),  # through the resonance
+        ],
+    )
+    def test_classify_builds_no_fraction_per_added_order(self, monkeypatch, V, ell, root):
+        # frobenius keeps its b_k / Q_k state in integers and brings it over
+        # one denominator at the end: no Fraction per order.
+        E, units = Fraction(-1, 2), PhysicalUnits(Fraction(3, 2))
+
+        def built(N):
+            with _counting_fractions(monkeypatch) as made:
+                v = classify_solution(V, ell, 0, E, root, N, units)
+            assert v.u_series.order == N
+            return len(made)
+
+        assert built(160) - built(80) == 0

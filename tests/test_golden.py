@@ -8,7 +8,8 @@ Python-level cases pin the repr of float ``radial_residuals`` and of a
 lenient ``hamiltonian_apply`` result, which fixes the order in which float
 terms are summed.  A third pins the
 exact ``frobenius`` series at a deep order, with a resonance on the
-singular root, and the exact ``radial_residuals`` of a perturbed copy.
+singular root, the exact ``radial_residuals`` of a perturbed copy, and
+strict and lenient exact ``hamiltonian_apply`` on both.
 Each ``demos/0N_*.py`` runs in a subprocess, and its stdout must equal
 ``demo_0N.txt`` byte for byte.
 
@@ -33,6 +34,7 @@ import pytest
 import distpf
 from distpf import (
     AngularLabel,
+    NotRadialSolution,
     PhysicalUnits,
     PotentialModel,
     PseudoFunction,
@@ -156,12 +158,21 @@ def deep_exact_cases() -> dict:
     coeffs[3] += Fraction(1, 7)
     coeffs[40] -= Fraction(3, 11)
     coeffs[160] += 1
-    perturbed = RadialSeries(pf.radial.s, tuple(coeffs))
+    perturbed = PseudoFunction(RadialSeries(pf.radial.s, tuple(coeffs)), pf.angular)
+    try:
+        hamiltonian_apply(perturbed, DEEP_V, DEEP_E, DEEP_UNITS, strict=True)
+        rejected = None
+    except NotRadialSolution as exc:
+        rejected = str(exc)
     return {
         "frobenius": repr(result),
         "radial_residuals_perturbed": repr(
-            radial_residuals(DEEP_V, 3, DEEP_E, DEEP_UNITS, perturbed)
+            radial_residuals(DEEP_V, 3, DEEP_E, DEEP_UNITS, perturbed.radial)
         ),
+        "hamiltonian_apply_strict": repr(hamiltonian_apply(pf, DEEP_V, DEEP_E, DEEP_UNITS, strict=True)),
+        "hamiltonian_apply_lenient": repr(hamiltonian_apply(pf, DEEP_V, DEEP_E, DEEP_UNITS)),
+        "hamiltonian_apply_lenient_perturbed": repr(hamiltonian_apply(perturbed, DEEP_V, DEEP_E, DEEP_UNITS)),
+        "hamiltonian_apply_strict_perturbed": rejected,
     }
 
 

@@ -9,6 +9,7 @@ value it was written from, in both modes.
 import json
 import pickle
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from distpf import (
     TestFunction,
     classify_solution,
     frobenius,
+    from_u,
     indicial_roots,
     laplacian,
 )
@@ -67,6 +69,44 @@ def series(draw, mode=None, numbers=rationals):
         s = draw(st.sampled_from([s, float(s), s + 0.5]))
     return RadialSeries(s, tuple(coeffs))
 
+
+# The singular root's resonant row 2*ell + 1 is odd; with only even lags
+# (no v[-1], no v[1]) every odd coefficient and so that row vanish.
+even_potentials = st.builds(lambda v0, v2: PotentialModel(0, (v0, 0, v2)), rationals, rationals)
+factors = st.sampled_from([0, 1, -1, 3, -2, Fraction(-5, 6), Fraction(7, 4)]) | rationals
+
+
+@st.composite
+def frobenius_series(draw):
+    """u of an exact solution on either root.
+
+    On the singular root of ell >= 1 the recurrence factor K*D(k) is
+    negative below the resonant order and the series may run through it.
+    E = 0 on a free regular root gives a series of trailing zeros.
+    """
+    ell = draw(st.integers(0, 3))
+    regular, singular = indicial_roots(ell)
+    root = draw(st.sampled_from([regular, singular]))
+    V = draw(potentials("exact") if root == regular else even_potentials)
+    E = draw(st.just(Fraction(0)) | rationals)
+    return frobenius(V, ell, E, root, draw(st.integers(1, 2 * ell + 5)), draw(units)).series
+
+
+def _json_twin(value: RadialSeries) -> RadialSeries:
+    return parse_series(json.loads(json.dumps(serialize_series(value))))
+
+
+# Each construction path of an exact series: the public constructor,
+# frobenius, from_u, scaled and parse_series.
+built_series = st.recursive(
+    series("exact") | st.just(RadialSeries.zero()) | frobenius_series(),
+    lambda inner: st.one_of(
+        inner.map(lambda u: from_u(u, AngularLabel(0, 0)).radial),
+        st.builds(RadialSeries.scaled, inner, factors),
+        inner.map(_json_twin),
+    ),
+    max_leaves=3,
+)
 
 labels = st.integers(0, 4).flatmap(lambda ell: st.builds(AngularLabel, st.just(ell), st.integers(-ell, ell)))
 scalars = st.dictionaries(st.integers(-3, 3), rationals, max_size=3).map(ExactScalar.from_map)
@@ -121,7 +161,7 @@ def frobenius_results(draw):
 # read, in the order of the dataclass it replaced.
 RECORDS = {
     ExactScalar: (scalars, ("terms",)),
-    RadialSeries: (series(), ("s", "coeffs", "is_exact")),
+    RadialSeries: (series() | built_series, ("s", "coeffs", "is_exact")),
     AngularLabel: (labels, ("ell", "mu")),
     PseudoFunction: (pseudofunctions(), ("radial", "angular")),
     DeltaTerm: (delta_terms(), ("coefficient", "ell", "mu", "p")),
@@ -237,3 +277,53 @@ def test_documents_parse_back_to_the_value(doc_type, mode, data):
     value = data.draw(strategy(mode))
     text = json.dumps(serialize(value), allow_nan=False)
     assert parse(json.loads(text)) == value
+
+
+def _key(value: RadialSeries) -> tuple:
+    return (value.s, value.coeffs, value.is_exact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=built_series)
+def test_exact_series_are_stored_canonical_and_read_reduced(value):
+    twin = pickle.loads(pickle.dumps(value))  # before anything reads coeffs
+    nums, den = value._nums, value._den
+    assert value.is_exact and den > 0 and gcd(den, *nums) == 1
+    assert all(type(a) is Fraction for a in value.coeffs)
+    assert den == lcm(*(a.denominator for a in value.coeffs))
+    assert value.coeffs == tuple(Fraction(n, den) for n in nums)
+    assert value.order == len(value.coeffs) - 1 and value.is_zero == (not value.coeffs)
+    assert hash(value) == hash(_key(value))
+    assert twin == value and repr(twin) == repr(value) and hash(twin) == hash(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=built_series, other=built_series, factor=factors)
+def test_exact_series_equality_is_coefficientwise_across_paths(value, other, factor):
+    scaled = value.scaled(factor)
+    same = [
+        RadialSeries(value.s, value.coeffs),
+        RadialSeries.make(value.s, value.coeffs),
+        _json_twin(value),
+        from_u(RadialSeries.make(value.s + 1, value.coeffs), AngularLabel(0, 0)).radial,
+    ]
+    for twin in same:
+        assert twin == value and hash(twin) == hash(value)
+    assert scaled == RadialSeries.make(value.s, [a * factor for a in value.coeffs])
+    shifted = from_u(value, AngularLabel(0, 0)).radial  # the same numerators at s - 1
+    for a, b in [(value, other), (value, scaled), (other, scaled), (scaled, _json_twin(scaled)), (value, shifted)]:
+        assert (a == b) == (_key(a) == _key(b)) == (not a != b)
+
+
+def test_zero_and_trailing_zeros_and_float_twins():
+    zero = RadialSeries.zero()
+    u = frobenius(PotentialModel.zero(), 1, Fraction(0), 1, 4).series  # 1 + 0 r + ... + 0 r^4
+    assert u.coeffs == (1, 0, 0, 0, 0) and u._den == 1
+    for value in (RadialSeries(0, ()), RadialSeries.make(2, [0, 0]), u.scaled(0), _json_twin(zero)):
+        assert value == zero and value._nums == () and value.s == 0 and hash(value) == hash(zero)
+    assert u != RadialSeries.exact(u.s, (1, 0, 0, 0)) != RadialSeries.exact(u.s, (1,))
+    resonant = frobenius(PotentialModel(0, (Fraction(1, 3), 0, Fraction(1, 5))), 1, Fraction(-1, 4), -2, 9)
+    assert resonant.resonance_report is not None
+    for exact in (u, resonant.series, resonant.series.scaled(Fraction(-3, 7))):
+        flt = RadialSeries(exact.s, tuple(map(float, exact.coeffs)))
+        assert exact != flt and flt != exact and len({exact, flt}) == 2
