@@ -13,8 +13,10 @@ Problems are described by flags and/or a flat `key = value` config file
 and so on, the series for `laplacian` as `s = -3` and `coeffs = 1, 0, 2`.
 A flag value passes the same check as the config line of its key, and an
 unknown key or a bad value is rejected with one
-`config error: field <key>: ...` line.  Flag names are exact, and a value
-may start with a minus sign (`--energy -1/4`).
+`config error: field <key>: ...` line.  The input is capped so that every
+run ends in seconds: `ell` 0..40, `order` 1..1000 and `s` -200..200.
+Flag names are exact, and a value may start with a minus sign
+(`--energy -1/4`).
 
 Exit codes: 0 success, 1 bad input, 2 the requested series solution needs
 a logarithm, 3 a verification residual exceeded the tolerance (NaN counts
@@ -138,14 +140,17 @@ def _units(text: str, mode: str) -> PhysicalUnits:
     return units
 
 
-def _integer(text: str, least: int | None = None) -> int:
+def _integer(text: str) -> int:
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise ValueError(f"expected an integer, got {text!r}") from None
-    if least is not None and n < least:
-        raise ValueError(f"must be at least {least}, got {text!r}")
-    return n
+
+
+def _within(number, least: int, most: int, text: str):
+    if not least <= number <= most:
+        raise ValueError(f"must be from {least} to {most}, got {text!r}")
+    return number
 
 
 def _choice(text: str, allowed: tuple) -> str:
@@ -160,15 +165,15 @@ _ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 # under the given mode.  A parser raises ValueError saying what is wrong.
 _FIELDS = {
     "mode": lambda text, mode: _choice(text, ("exact", "float")),
-    "ell": lambda text, mode: _integer(text, least=0),
+    "ell": lambda text, mode: _within(_integer(text), 0, 40, text),
     "mu": lambda text, mode: _integer(text),
     "energy": _finite,
     "root": lambda text, mode: _choice(text, ("regular", "singular", "both")),
-    "order": lambda text, mode: _integer(text, least=1),
+    "order": lambda text, mode: _within(_integer(text), 1, 1000, text),
     "hbar2_over_2m": _units,
     "tol": lambda text, mode: _number(text, "float"),
     "verify": lambda text, mode: _choice(text.lower(), _ON + _OFF) in _ON,
-    "s": lambda text, mode: _finite(text, mode) if mode == "float" else _integer(text),
+    "s": lambda text, mode: _within(_finite(text, mode) if mode == "float" else _integer(text), -200, 200, text),
     "coeffs": lambda text, mode: tuple(_finite(p.strip(), mode) for p in text.split(",") if p.strip()),
 }
 
@@ -321,12 +326,7 @@ def parse_verdict(doc: dict) -> Verdict:
 def _series_text(series: RadialSeries) -> str:
     if series.is_zero:
         return "0"
-    bits = []
-    for k, a in enumerate(series.coeffs):
-        if a == 0:
-            continue
-        bits.append(f"({a}) r^{series.s + k}")
-    return " + ".join(bits)
+    return " + ".join(f"({a}) r^{series.s + k}" for k, a in enumerate(series.coeffs) if a)
 
 
 def _delta_text(t: DeltaTerm) -> str:
@@ -473,8 +473,7 @@ def _cmd_classify(spec: ProblemSpec):
             lines.append(f"  u(0)    : {v.u_at_origin if v.u_at_origin is not None else 'divergent'}")
             lines.append(f"  u(0)=0  : {'yes' if v.boundary_condition_met else 'no'}")
             lines.append(f"  normalizable at origin: {'yes' if v.normalizable else 'no'}")
-            for c in v.equations_cited:
-                lines.append(f"  satisfies: {c.value} ({EQUATION_DESCRIPTIONS[c]})")
+            lines += [f"  satisfies: {c.value} ({EQUATION_DESCRIPTIONS[c]})" for c in v.equations_cited]
         payload["verdicts"].append(serialize_verdict(v))
     return code, lines, payload
 
@@ -492,10 +491,9 @@ def _cmd_verify(spec: ProblemSpec):
     cases = [_require_series(spec)] if given else _default_verify_cases()
     rows, worst, code = _residual_grid(cases, spec.tol)
     lines = [f"{'s':>4} {'ell':>4} {'alpha':>6} {'poly':>5} {'residual':>12}"]
-    for row in rows:
-        lines.append(
-            f"{row['s']:>4} {row['ell']:>4} {row['alpha']:>6} {row['poly']:>5} {row['residual']:>12.3e}"
-        )
+    lines += [
+        f"{row['s']:>4} {row['ell']:>4} {row['alpha']:>6} {row['poly']:>5} {row['residual']:>12.3e}" for row in rows
+    ]
     lines.append(f"max residual {worst:.3e} over {len(rows)} pairings (tol {spec.tol:g})")
     return code, lines, {"residuals": rows, "max_residual": worst, "tol": spec.tol}
 

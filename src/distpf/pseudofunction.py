@@ -15,15 +15,18 @@ Conventions
   ``radial.PotentialModel``: a float anywhere makes every value a float.
   The mode is part of a value's identity, so an exact and a float value
   never compare equal.
-* An exact ``RadialSeries`` stores integer numerators over one positive
-  denominator, as FLINT's ``fmpq_poly`` does (Hart, ICMS 2010), kept
-  canonical: the gcd of the denominator and all numerators is 1, so the
-  denominator is the lcm of the reduced ones.  The tuple of reduced
-  ``Fraction``s, ``coeffs``, is built and cached on first read (``repr``,
-  JSON, report text, float conversion, and ``hash``, which stays that of
-  ``(s, coeffs, is_exact)``); ``==``, ``scaled``, ``from_u``, the delta
-  rungs and the recurrence rows read the integers.  A float series
-  stores its coefficients as they are, over 1.
+* An exact ``RadialSeries`` stores integer numerators over one
+  denominator, as FLINT's ``fmpq_poly`` does (Hart, ICMS 2010).  The
+  denominator is a common positive one, not necessarily the least: a
+  ``frobenius`` series keeps the one its recurrence built, with no gcd
+  pass.  The tuple of reduced ``Fraction``s, ``coeffs``, is built and
+  cached on first read (``repr``, JSON, report text, float conversion,
+  and ``hash``, which stays that of ``(s, coeffs, is_exact)``); ``==``,
+  ``scaled``, ``from_u``, the delta rungs and the recurrence rows read
+  the integers.  ``==`` compares the stored tuples first, and only two
+  exact series with the same exponent and length but different
+  denominators are cross-multiplied term by term.  A float series stores
+  its coefficients as they are, over 1.
 * A ``DeltaTerm`` with ell = 0 denotes  coefficient * laplacian^p(delta)
   with no angular factor at all.  For ell >= 1 it denotes
   coefficient * r^ell * Y_ell^mu * laplacian^p(delta)  with Y the real,
@@ -39,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import attrgetter, floordiv, mul
+from operator import attrgetter, eq, floordiv, mul
 
 from .coeffs import ExactScalar, _Record
 
@@ -74,9 +77,9 @@ class RadialSeries(_Record):
     coefficients, exponent 0, and is exact.  ``is_exact`` is derived from
     the coefficients; it takes part in ``==`` and ``hash`` but not ``repr``.
 
-    Stored are ``s``, ``is_exact`` and the numerators ``_nums`` over
-    ``_den`` (see the module Conventions), which ``==`` compares;
-    ``coeffs`` is derived and cached, and ``hash`` reads it.
+    Stored are ``s``, ``is_exact`` and the numerators ``_nums`` over a
+    common denominator ``_den`` (see the module Conventions), which ``==``
+    reads; ``coeffs`` is derived and cached, and ``hash`` reads it.
     """
 
     _fields, _hidden = ("s", "coeffs"), ("is_exact",)
@@ -109,18 +112,12 @@ class RadialSeries(_Record):
     def _over(cls, s: int, nums: list, den: int) -> "RadialSeries":
         """The exact series r^s * sum_k nums[k] r^k / den; nums[0] and den nonzero.
 
-        ``nums`` is divided in place down to the canonical form and kept,
-        with the sign on the numerators.  The gcd starts from the last
-        numerator: for a ``frobenius`` series the first one is the
-        denominator itself, and starting there makes every step full-width.
+        ``nums`` and ``den`` are kept as given, with no gcd taken: only a
+        negative ``den`` (a ``frobenius`` factor K D(k) < 0 below the
+        resonance of a singular root) moves its sign onto the numerators.
         """
-        g = gcd(den, *reversed(nums))
         if den < 0:
-            g = -g
-        if g != 1:
-            for k, n in enumerate(nums):
-                nums[k] = n // g
-            den //= g
+            nums, den = [-n for n in nums], -den
         return object.__new__(cls)._set(s, tuple(nums), den, True)
 
     def _with_exponent(self, s) -> "RadialSeries":
@@ -146,7 +143,15 @@ class RadialSeries(_Record):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._stored(self) == other._stored(other)
+        if self._stored(self) == other._stored(other):
+            return True
+        # Equal values over different common denominators: x / d == y / e.
+        d, e = self._den, other._den
+        if d == e or not (self.is_exact and other.is_exact) or self.s != other.s:
+            return False
+        return len(self._nums) == len(other._nums) and all(
+            map(eq, map(mul, self._nums, repeat(e)), map(mul, other._nums, repeat(d)))
+        )
 
     __hash__ = _Record.__hash__
 
@@ -187,8 +192,8 @@ class RadialSeries(_Record):
             return RadialSeries.zero()
         if not (self.is_exact and isinstance(factor, (int, Fraction))):
             return RadialSeries(self.s, tuple(map(mul, self.coeffs, repeat(factor))))
-        # With the stored form canonical, dividing out gcd(den, p) and
-        # gcd(q, numerators) keeps the product canonical: no full-width gcd.
+        # Dividing out gcd(den, p) and gcd(q, numerators) keeps the growth
+        # of the product's denominator small: no full-width gcd.
         p, q = factor.numerator, factor.denominator
         g, h = gcd(self._den, p), gcd(q, *self._nums)
         nums = self._nums if h == 1 else map(floordiv, self._nums, repeat(h))

@@ -395,14 +395,36 @@ class TestMain:
             run("laplacian", ProblemSpec(s=-1.0, coeffs=(float(value),)))
 
     def test_laplacian_verify_out_of_float_range_exit_1(self, tmp_path, capsys):
-        # Pairing r^400 needs F(402, alpha), beyond the float range.
+        # Pairing r^400 would need F(402, alpha), beyond the float range; the
+        # cap on s rejects the input before any pairing.
         cfg = tmp_path / "deep.cfg"
         cfg.write_text("s = 400\ncoeffs = 1\n")
         assert main(["laplacian", "--config", str(cfg), "--verify"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("distpf: finite part F(402, ")
-        assert captured.err.count("\n") == 1
+        assert capsys.readouterr() == ("", "distpf: config error: field s: must be from -200 to 200, got '400'\n")
+
+    @pytest.mark.parametrize(
+        "line, key, bounds",
+        [
+            ("ell = 41", "ell", "0 to 40"),
+            ("ell = 99999", "ell", "0 to 40"),
+            ("ell = -1", "ell", "0 to 40"),
+            ("order = 1001", "order", "1 to 1000"),
+            ("order = 0", "order", "1 to 1000"),
+            ("s = -201", "s", "-200 to 200"),
+            ("s = 200.5\nmode = float", "s", "-200 to 200"),
+        ],
+    )
+    def test_input_caps_exit_1(self, tmp_path, capsys, line, key, bounds):
+        cfg = tmp_path / "capped.cfg"
+        cfg.write_text(f"{line}\ncoeffs = 1\n")
+        assert main(["classify", "--config", str(cfg)]) == 1
+        text = line.split("\n")[0].split(" = ")[1]
+        assert capsys.readouterr() == ("", f"distpf: config error: field {key}: must be from {bounds}, got {text!r}\n")
+
+    def test_input_caps_are_inclusive(self):
+        spec = build_spec({"ell": "40", "mu": "-40", "order": "1000", "s": "-200"}, {"ell": "40"})
+        assert (spec.ell, spec.order, spec.s) == (40, 1000, -200)
+        assert build_spec({"s": "200.0", "mode": "float"}, {}).s == 200.0
 
     @pytest.mark.parametrize(
         "config",
@@ -424,7 +446,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "config, verify",
         [
-            ("s = 1e200\ncoeffs = 1, 2\n", False),  # s(s+1) overflows
+            ("s = 200\ncoeffs = 1e307, 2\n", False),  # s(s+1) a_0 overflows
             ("s = -3\ncoeffs = 1e308\n", True),  # 6 * a_0 overflows before any pairing
         ],
     )
@@ -690,11 +712,11 @@ def test_main_exit_codes_on_any_input(tmp_path, monkeypatch, capsys, command, li
         assert err.startswith("distpf: ") and err.count("\n") == 1
 
 
-# Free value text.  Its numbers stay small: the CLI caps neither ell, s nor order,
-# and large ones are slow by the size of the exact arithmetic, not by a fault.
+# Free value text.  Its numbers reach past the CLI's caps on ell, s and order,
+# which keep every accepted input to seconds of exact arithmetic.
 _TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4)
 _PIECES = st.one_of(
-    st.integers(-12, 12).map(str),
+    st.integers(-(10**6), 10**6).map(str),
     st.sampled_from(["1/3", "-0.25", "nan", "-inf", "1e400", "1e-400", "1/0", "٣", "exact", "float", "both", "on"]),
     _TEXT,
 )

@@ -278,6 +278,12 @@ class TestLaplacian:
                 expr = laplacian(pf_of(ell, coeffs, ell=ell, mu=0))
                 assert expr.delta_part.is_empty
 
+    def test_float_overflow_of_the_exponent_factor_raises(self):
+        # s(s+1) overflows for s = 1e200, past any exponent the CLI accepts.
+        pf = PseudoFunction(RadialSeries(1e200, (1.0, 2.0)), AngularLabel(0, 0))
+        with pytest.raises(ValueError, match=r"^float Laplacian is not finite at order 0 \(coefficient inf\)$"):
+            laplacian(pf)
+
     def test_preserves_truncation_order(self, rng):
         pf = pf_of(-3, (1, 2, 3, 4))
         expr = laplacian(pf)
@@ -454,13 +460,12 @@ class TestHamiltonianApply:
 
         assert built(160) - built(80) == 0
 
-    @pytest.mark.parametrize(
-        "V, ell, root",
-        [
-            (PotentialModel(-2, (Fraction(3, 10), Fraction(7, 10))), 1, 1),
-            (PotentialModel(0, (Fraction(3, 10), 0, Fraction(7, 10))), 1, -2),  # through the resonance
-        ],
-    )
+    DEEP_STATES = [
+        (PotentialModel(-2, (Fraction(3, 10), Fraction(7, 10))), 1, 1),
+        (PotentialModel(0, (Fraction(3, 10), 0, Fraction(7, 10))), 1, -2),  # through the resonance
+    ]
+
+    @pytest.mark.parametrize("V, ell, root", DEEP_STATES)
     def test_classify_builds_no_fraction_per_added_order(self, monkeypatch, V, ell, root):
         # frobenius keeps its b_k / Q_k state in integers and brings it over
         # one denominator at the end: no Fraction per order.
@@ -472,4 +477,17 @@ class TestHamiltonianApply:
             assert v.u_series.order == N
             return len(made)
 
+        built(80)  # fills the coeff_C cache, so the test holds when run alone
         assert built(160) - built(80) == 0
+
+    @pytest.mark.parametrize("V, ell, root", DEEP_STATES)
+    def test_exact_frobenius_takes_no_gcd(self, monkeypatch, V, ell, root):
+        # The series keeps the common denominator its recurrence built, so
+        # no gcd runs over the full-width numerators; scaled's two small
+        # ones show that the counter sees the module's calls.
+        calls = []
+        monkeypatch.setattr("distpf.pseudofunction.gcd", lambda *args: calls.append(args) or math.gcd(*args))
+        u = frobenius(V, ell, Fraction(-1, 2), root, 160, PhysicalUnits(Fraction(3, 2))).series
+        assert u.order == 160 and calls == []
+        assert u.scaled(Fraction(-2, 3)) == RadialSeries.exact(u.s, [a * Fraction(-2, 3) for a in u.coeffs])
+        assert len(calls) == 2

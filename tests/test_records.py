@@ -283,14 +283,29 @@ def _key(value: RadialSeries) -> tuple:
     return (value.s, value.coeffs, value.is_exact)
 
 
+# frobenius outputs over the denominator their recurrence built, which is
+# larger than the least one: a regular root, a singular root through its
+# resonant order (ell 1 and 2), and one whose product of factors K*D(k) is
+# negative (ell 2, order 3).
+_PAST_LEAST = [
+    frobenius(V, ell, E, root, N, PhysicalUnits(Fraction(3, 2))).series
+    for V, ell, E, root, N in [
+        (PotentialModel(-2, (Fraction(3, 10), Fraction(7, 10))), 1, Fraction(-1, 2), 1, 12),
+        (PotentialModel(0, (Fraction(1, 3), 0, Fraction(1, 5))), 1, Fraction(-1, 4), -2, 9),
+        (PotentialModel(0, (Fraction(1, 3), 0, Fraction(1, 5))), 2, Fraction(1, 7), -3, 8),
+        (PotentialModel(-2, (Fraction(3, 10), Fraction(7, 10))), 2, Fraction(-1, 2), -3, 3),
+    ]
+]
+
+
 @settings(max_examples=60, deadline=None)
-@given(value=built_series)
-def test_exact_series_are_stored_canonical_and_read_reduced(value):
+@given(value=built_series | st.sampled_from(_PAST_LEAST))
+def test_exact_series_are_stored_over_a_common_denominator_and_read_reduced(value):
     twin = pickle.loads(pickle.dumps(value))  # before anything reads coeffs
     nums, den = value._nums, value._den
-    assert value.is_exact and den > 0 and gcd(den, *nums) == 1
-    assert all(type(a) is Fraction for a in value.coeffs)
-    assert den == lcm(*(a.denominator for a in value.coeffs))
+    assert value.is_exact and type(den) is int and den > 0 and all(type(n) is int for n in nums)
+    assert all(type(a) is Fraction and gcd(a.numerator, a.denominator) == 1 for a in value.coeffs)
+    assert den % lcm(*(a.denominator for a in value.coeffs)) == 0
     assert value.coeffs == tuple(Fraction(n, den) for n in nums)
     assert value.order == len(value.coeffs) - 1 and value.is_zero == (not value.coeffs)
     assert hash(value) == hash(_key(value))
@@ -311,14 +326,23 @@ def test_exact_series_equality_is_coefficientwise_across_paths(value, other, fac
         assert twin == value and hash(twin) == hash(value)
     assert scaled == RadialSeries.make(value.s, [a * factor for a in value.coeffs])
     shifted = from_u(value, AngularLabel(0, 0)).radial  # the same numerators at s - 1
-    for a, b in [(value, other), (value, scaled), (other, scaled), (scaled, _json_twin(scaled)), (value, shifted)]:
+    pairs = [(value, other), (value, scaled), (other, scaled), (scaled, _json_twin(scaled)), (value, shifted)]
+    # Over a larger denominator than the least one, equal values are equal
+    # by cross-multiplication, and a numerator moved by 1 breaks it.
+    for u in _PAST_LEAST:
+        least = RadialSeries.exact(u.s, u.coeffs)
+        moved = object.__new__(RadialSeries)._set(u.s, (*u._nums[:-1], u._nums[-1] + 1), u._den, True)
+        assert least._den < u._den and u == least and least == u and hash(u) == hash(least)
+        assert moved != least and least != moved and moved != u
+        pairs += [(u, least), (moved, least), (least, moved), (moved, u), (value, u), (moved, value)]
+    for a, b in pairs:
         assert (a == b) == (_key(a) == _key(b)) == (not a != b)
 
 
 def test_zero_and_trailing_zeros_and_float_twins():
     zero = RadialSeries.zero()
     u = frobenius(PotentialModel.zero(), 1, Fraction(0), 1, 4).series  # 1 + 0 r + ... + 0 r^4
-    assert u.coeffs == (1, 0, 0, 0, 0) and u._den == 1
+    assert u.coeffs == (1, 0, 0, 0, 0) and u == RadialSeries.exact(u.s, (1, 0, 0, 0, 0))
     for value in (RadialSeries(0, ()), RadialSeries.make(2, [0, 0]), u.scaled(0), _json_twin(zero)):
         assert value == zero and value._nums == () and value.s == 0 and hash(value) == hash(zero)
     assert u != RadialSeries.exact(u.s, (1, 0, 0, 0)) != RadialSeries.exact(u.s, (1,))
