@@ -13,8 +13,10 @@ Problems are described by flags and/or a flat `key = value` config file
 and so on, the series for `laplacian` as `s = -3` and `coeffs = 1, 0, 2`.
 A flag value passes the same check as the config line of its key, and an
 unknown key or a bad value is rejected with one
-`config error: field <key>: ...` line.  The input is capped so that every
-run ends in seconds: `ell` 0..40, `order` 1..1000 and `s` -200..200.
+`config error: field <key>: ...` line.  The input is capped: `ell` 0..40,
+`order` 1..1000, `s` -200..200, the potential index j of `v[j]` -1..1000,
+and an exact number at 4300 digits in its numerator or denominator written
+out (`1e4300` is past it).  Run time grows with the digits of exact inputs.
 Flag names are exact, and a value may start with a minus sign
 (`--energy -1/4`).
 
@@ -118,9 +120,27 @@ def parse_config(text: str) -> dict:
 
 def _number(text: str, mode: str):
     try:
-        return float(text) if mode == "float" else Fraction(text)
+        if mode == "float":
+            return float(text)
+        if _digits_written_out(text) <= 4300:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse {text!r} as a number") from None
+    raise ValueError(f"must have at most 4300 digits written out, got {text!r}")
+
+
+def _digits_written_out(text: str) -> int:
+    """Digits in the longer of the numerator and denominator of `m.d e x` written out; 0 without `e`.
+
+    Plain digits meet the interpreter's own 4300-digit limit; an exponent
+    would have Fraction build its power of ten first.
+    """
+    head, e, exp = text.lower().partition("e")
+    if not e:
+        return 0
+    whole, _, decimals = head.partition(".")
+    shift = int(exp) - len(decimals.replace("_", ""))
+    return max(len(str(abs(int(whole + decimals)))) + shift, 1 - shift)
 
 
 def _finite(text: str, mode: str):
@@ -202,7 +222,7 @@ def build_spec(config: dict, overrides: dict) -> ProblemSpec:
                 idx = _integer(key[2:-1])
                 if idx < -1:
                     raise ValueError("potential may not be more singular than 1/r")
-                poly[idx] = _finite(text, mode)
+                poly[_within(idx, -1, 1000, key[2:-1])] = _finite(text, mode)
             elif key in _FIELDS:
                 fields["units" if key == "hbar2_over_2m" else key] = _FIELDS[key](text, mode)
             else:

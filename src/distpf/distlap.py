@@ -76,32 +76,6 @@ def _integral_exponent(s):
     return None
 
 
-def _delta_sum(s, coeffs, ell: int, mu: int) -> DeltaSum:
-    """Delta corrections of the Laplacian across r^s * series * (deg-ell label).
-
-    Float coefficients are lifted to their exact binary rationals so the
-    resulting weights stay in the exact scalar ring; a non-finite one on a
-    singular rung has no such lift and raises ``ValueError``.  A
-    non-integral exponent has no singular rungs and yields the empty sum.
-    """
-    s_int = _integral_exponent(s)
-    if s_int is None:
-        return DeltaSum.empty()
-    terms = []
-    # The singular rungs are k <= -s-ell-1 with k = ell-s-1 (mod 2); there
-    # p = (ell - s - 1 - k) / 2 >= ell holds by construction.
-    for k in range((ell - s_int - 1) % 2, min(len(coeffs), -s_int - ell), 2):
-        a = coeffs[k]
-        if a == 0:
-            continue
-        p = (ell - s_int - 1 - k) // 2
-        if isinstance(a, float) and not math.isfinite(a):
-            raise ValueError(f"coefficient a_{k} = {a} on a singular rung has no exact weight")
-        weight = Fraction(a) * coeff_B(ell, p) * coeff_C(p)
-        terms.append(DeltaTerm(weight, ell, mu, p))
-    return DeltaSum.build(terms)
-
-
 def q_s(series: RadialSeries) -> DeltaSum:
     """Delta corrections picked up by the radial operator on a bare series.
 
@@ -117,13 +91,28 @@ def q_sl(pf: PseudoFunction) -> DeltaSum:
 
     Coincides with ``q_s`` termwise when ell = 0 (the angular correction
     factor is 1 there).  Nonempty iff some a_k != 0 sits on a singular
-    rung k + s - ell = -2p - 1 with integer p >= ell.
+    rung k + s - ell = -2p - 1 with integer p >= ell; a non-integral s has
+    none.  A float a_k is lifted to its exact binary rational, so the
+    weights stay exact; a non-finite one on a rung raises ``ValueError``.
     """
-    rad, ell = pf.radial, pf.angular.ell
-    s_int = _integral_exponent(rad.s)
-    # Only a_k with k < -s - ell can sit on a singular rung; the rest stay unread.
-    head = rad._head(-s_int - ell) if s_int is not None else ()
-    return _delta_sum(rad.s, head, ell, pf.angular.mu)
+    ell, mu = pf.angular.ell, pf.angular.mu
+    s = _integral_exponent(pf.radial.s)
+    if s is None:
+        return DeltaSum.empty()
+    # Only the a_k that can sit on a rung, k <= -s-ell-1 with k = ell-s-1
+    # (mod 2), are read; there p = (ell - s - 1 - k) / 2 >= ell.
+    coeffs = pf.radial._head(-s - ell)
+    terms = []
+    for k in range((ell - s - 1) % 2, len(coeffs), 2):
+        a = coeffs[k]
+        if a == 0:
+            continue
+        p = (ell - s - 1 - k) // 2
+        if isinstance(a, float) and not math.isfinite(a):
+            raise ValueError(f"coefficient a_{k} = {a} on a singular rung has no exact weight")
+        weight = Fraction(a) * coeff_B(ell, p) * coeff_C(p)
+        terms.append(DeltaTerm(weight, ell, mu, p))
+    return DeltaSum.build(terms)
 
 
 def laplacian_power(s, ell: int, mu: int) -> DistributionExpr:
@@ -187,15 +176,12 @@ def delta_source(pf: PseudoFunction, units: PhysicalUnits) -> DeltaSum:
 
     This is the delta part of H Pf for a series solving the radial
     equation, and the right-hand-side source a classified state carries.
-    Every term carries the label's ell, so one factor scales them all:
-    -(hbar^2/2m), times 1/sqrt(4*pi) at l = 0.  An empty sum (every
-    regular state) is returned as is.
+    An empty sum (every regular state) is returned as is.
     """
     q = q_sl(pf)
     if q.is_empty:
         return q
-    factor = ExactScalar.rational(-units.hbar2_over_2m)
-    return q.scaled(factor * Y00 if pf.angular.ell == 0 else factor)
+    return fold_y00(q).scaled(ExactScalar.rational(-units.hbar2_over_2m))
 
 
 def hamiltonian_apply(

@@ -21,12 +21,12 @@ Conventions
   ``frobenius`` series keeps the one its recurrence built, with no gcd
   pass.  The tuple of reduced ``Fraction``s, ``coeffs``, is built and
   cached on first read (``repr``, JSON, report text, float conversion,
-  and ``hash``, which stays that of ``(s, coeffs, is_exact)``); ``==``,
+  and ``hash``, which stays that of ``(s, coeffs, is_exact)``);
   ``scaled``, ``from_u``, the delta rungs and the recurrence rows read
-  the integers.  ``==`` compares the stored tuples first, and only two
-  exact series with the same exponent and length but different
-  denominators are cross-multiplied term by term.  A float series stores
-  its coefficients as they are, over 1.
+  the integers.  ``==`` compares the stored tuples first and falls back
+  to the reduced coefficients, the key ``hash`` reads.  ``scaled`` takes
+  one small gcd, of the denominator and the factor's numerator.  A float
+  series stores its coefficients as they are, over 1.
 * A ``DeltaTerm`` with ell = 0 denotes  coefficient * laplacian^p(delta)
   with no angular factor at all.  For ell >= 1 it denotes
   coefficient * r^ell * Y_ell^mu * laplacian^p(delta)  with Y the real,
@@ -42,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import attrgetter, eq, floordiv, mul
+from operator import attrgetter, mul
 
 from .coeffs import ExactScalar, _Record
 
@@ -78,8 +78,8 @@ class RadialSeries(_Record):
     the coefficients; it takes part in ``==`` and ``hash`` but not ``repr``.
 
     Stored are ``s``, ``is_exact`` and the numerators ``_nums`` over a
-    common denominator ``_den`` (see the module Conventions), which ``==``
-    reads; ``coeffs`` is derived and cached, and ``hash`` reads it.
+    common denominator ``_den`` (see the module Conventions); ``coeffs`` is
+    derived and cached, and ``hash`` reads it.
     """
 
     _fields, _hidden = ("s", "coeffs"), ("is_exact",)
@@ -143,15 +143,8 @@ class RadialSeries(_Record):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._stored(self) == other._stored(other):
-            return True
-        # Equal values over different common denominators: x / d == y / e.
-        d, e = self._den, other._den
-        if d == e or not (self.is_exact and other.is_exact) or self.s != other.s:
-            return False
-        return len(self._nums) == len(other._nums) and all(
-            map(eq, map(mul, self._nums, repeat(e)), map(mul, other._nums, repeat(d)))
-        )
+        # Over different common denominators the reduced coefficients decide.
+        return self._stored(self) == other._stored(other) or self._key(self) == other._key(other)
 
     __hash__ = _Record.__hash__
 
@@ -192,13 +185,12 @@ class RadialSeries(_Record):
             return RadialSeries.zero()
         if not (self.is_exact and isinstance(factor, (int, Fraction))):
             return RadialSeries(self.s, tuple(map(mul, self.coeffs, repeat(factor))))
-        # Dividing out gcd(den, p) and gcd(q, numerators) keeps the growth
-        # of the product's denominator small: no full-width gcd.
+        # One small gcd, of den and p: the product stays over the common
+        # denominator den/g * q, with no gcd over the full-width numerators.
         p, q = factor.numerator, factor.denominator
-        g, h = gcd(self._den, p), gcd(q, *self._nums)
-        nums = self._nums if h == 1 else map(floordiv, self._nums, repeat(h))
-        nums = tuple(map(mul, nums, repeat(p // g)))
-        return object.__new__(RadialSeries)._set(self.s, nums, self._den // g * (q // h), True)
+        g = gcd(self._den, p)
+        nums = tuple(map(mul, self._nums, repeat(p // g)))
+        return object.__new__(RadialSeries)._set(self.s, nums, self._den // g * q, True)
 
 
 class AngularLabel(_Record):

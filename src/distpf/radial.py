@@ -26,8 +26,8 @@ coefficient until one is read (see ``pseudofunction``).
 ``radial_residuals`` sums exact rows over the series' own denominator,
 again without a ``Fraction`` per coefficient, and sums its rows lag by
 lag: the kinetic term of every row first, then each lag weight added to
-all rows at once, in ``_row_sum``'s order, so float rows round exactly as
-the row-at-a-time sum would.
+all rows at once.  That is the order of the row-at-a-time sum (kinetic
+term, lag 1, lag 2, ...), so float rows round exactly as it would.
 
 The problem data live here too: ``PotentialModel`` for V(r) and
 ``PhysicalUnits`` for kappa.

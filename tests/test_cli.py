@@ -427,6 +427,36 @@ class TestMain:
         assert build_spec({"s": "200.0", "mode": "float"}, {}).s == 200.0
 
     @pytest.mark.parametrize(
+        "argv, key, text",
+        [
+            (["--energy=1e4300"], "energy", "1e4300"),  # a numerator of 4301 digits
+            (["--energy", "-1e-4300"], "energy", "-1e-4300"),  # a denominator of 4301 digits
+            (["--energy=1.5e-4299"], "energy", "1.5e-4299"),
+            (["--hbar2-over-2m=1e3000000"], "hbar2_over_2m", "1e3000000"),
+        ],
+    )
+    def test_exponent_digits_cap_exit_1(self, monkeypatch, capsys, argv, key, text):
+        # Rejected from the text alone: no Fraction is built for it.
+        monkeypatch.setattr(distpf.cli, "Fraction", None)
+        assert main(["classify", *argv]) == 1
+        message = f"must have at most 4300 digits written out, got {text!r}"
+        assert capsys.readouterr() == ("", f"distpf: config error: field {key}: {message}\n")
+
+    @pytest.mark.parametrize("index", ["1001", "3000000"])
+    def test_potential_index_cap_exit_1(self, tmp_path, capsys, index):
+        cfg = tmp_path / "capped.cfg"
+        cfg.write_text(f"v[{index}] = 1\n")
+        assert main(["classify", "--config", str(cfg)]) == 1
+        message = f"must be from -1 to 1000, got {index!r}"
+        assert capsys.readouterr() == ("", f"distpf: config error: field v[{index}]: {message}\n")
+
+    def test_digit_and_index_caps_are_inclusive(self):
+        spec = build_spec({"v[1000]": "1", "energy": "1e4299", "coeffs": "1_0e4298, 0.0001e4303"}, {})
+        assert len(spec.potential.v) == 1001 and spec.potential.v[1000] == 1
+        assert spec.energy == 10**4299 and spec.coeffs == (10**4299, 10**4299)
+        assert build_spec({"energy": "-1e-4299"}, {}).energy == Fraction(-1, 10**4299)
+
+    @pytest.mark.parametrize(
         "config",
         [
             "s = 0\ncoeffs = 1e400\n",  # float(a_0) in the pseudofunction pairing
@@ -712,8 +742,9 @@ def test_main_exit_codes_on_any_input(tmp_path, monkeypatch, capsys, command, li
         assert err.startswith("distpf: ") and err.count("\n") == 1
 
 
-# Free value text.  Its numbers reach past the CLI's caps on ell, s and order,
-# which keep every accepted input to seconds of exact arithmetic.
+# Free value text.  Its numbers reach past the CLI's caps on ell, s and order;
+# the caps bound those and the digits of a number, and run time grows with
+# the digits of exact inputs.
 _TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4)
 _PIECES = st.one_of(
     st.integers(-(10**6), 10**6).map(str),

@@ -36,7 +36,6 @@ from distpf import (
     radial_operator,
     radial_residuals,
 )
-from distpf.distlap import _delta_sum
 
 PI = ExactScalar.pi_term(1, 2)
 
@@ -206,7 +205,7 @@ class TestQsl:
 
 
 def _delta_sum_reference(s, coeffs, ell, mu):
-    """The rung test on every coefficient, as ``_delta_sum`` once ran it."""
+    """The rung test on every coefficient, as ``q_sl`` once ran it."""
     if isinstance(s, float) and not s.is_integer():
         return DeltaSum.empty()
     s = int(s)
@@ -240,22 +239,28 @@ class TestDeltaSumRungs:
     @settings(max_examples=300, deadline=None)
     @given(
         st.one_of(
-            st.integers(min_value=-30, max_value=4),
-            st.integers(min_value=-30, max_value=4).map(float),
-            st.sampled_from([-2.5, 0.5]),
+            st.tuples(
+                st.integers(min_value=-30, max_value=4),
+                st.one_of(st.lists(exact_coeffs, max_size=40), st.lists(float_coeffs, max_size=40)),
+            ),
+            # A float exponent makes a float series: its coefficients are floats.
+            st.tuples(
+                st.one_of(st.integers(min_value=-30, max_value=4).map(float), st.sampled_from([-2.5, 0.5])),
+                st.lists(float_coeffs, max_size=40),
+            ),
         ),
-        st.one_of(st.lists(exact_coeffs, max_size=40), st.lists(float_coeffs, max_size=40)),
         st.integers(min_value=0, max_value=6),
     )
-    def test_matches_the_every_coefficient_loop(self, s, coeffs, ell):
-        coeffs = tuple(coeffs)
+    def test_matches_the_every_coefficient_loop(self, state, ell):
+        series = RadialSeries.make(*state)  # strips leading zeros: compare on its own s and coeffs
+        pf = PseudoFunction(series, AngularLabel(ell, 0))
         try:
-            expected = _delta_sum_reference(s, coeffs, ell, 0)
+            expected = _delta_sum_reference(series.s, series.coeffs, ell, 0)
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
-                _delta_sum(s, coeffs, ell, 0)
+                q_sl(pf)
             return
-        assert _delta_sum(s, coeffs, ell, 0) == expected
+        assert q_sl(pf) == expected
 
 
 class TestLaplacian:
@@ -358,7 +363,11 @@ class TestDeltaSource:
             series = RadialSeries(float(series.s), tuple(map(float, series.coeffs)))
         pf = PseudoFunction(series, AngularLabel(ell, mu))
         got = delta_source(pf, units)
-        expected = fold_y00(q_sl(pf)).scaled(ExactScalar.rational(-units.hbar2_over_2m))
+        # Each q_sl coefficient times -kappa, and times Y_0^0 = 1/sqrt(4 pi) at l = 0.
+        factor = ExactScalar.rational(-units.hbar2_over_2m)
+        if ell == 0:
+            factor = factor * ExactScalar.pi_term(Fraction(1, 2), -1)
+        expected = [DeltaTerm(t.coefficient * factor, t.ell, t.mu, t.p) for t in q_sl(pf)]
         assert len(got) == len(expected)
         for t, u in zip(got, expected):
             assert t == u and repr(t) == repr(u)
@@ -483,11 +492,12 @@ class TestHamiltonianApply:
     @pytest.mark.parametrize("V, ell, root", DEEP_STATES)
     def test_exact_frobenius_takes_no_gcd(self, monkeypatch, V, ell, root):
         # The series keeps the common denominator its recurrence built, so
-        # no gcd runs over the full-width numerators; scaled's two small
-        # ones show that the counter sees the module's calls.
+        # no gcd runs over the full-width numerators; scaled's one small
+        # gcd, of its denominator and the factor's numerator, shows that
+        # the counter sees the module's calls.
         calls = []
         monkeypatch.setattr("distpf.pseudofunction.gcd", lambda *args: calls.append(args) or math.gcd(*args))
         u = frobenius(V, ell, Fraction(-1, 2), root, 160, PhysicalUnits(Fraction(3, 2))).series
         assert u.order == 160 and calls == []
         assert u.scaled(Fraction(-2, 3)) == RadialSeries.exact(u.s, [a * Fraction(-2, 3) for a in u.coeffs])
-        assert len(calls) == 2
+        assert len(calls) == 1

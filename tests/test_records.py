@@ -328,7 +328,7 @@ def test_exact_series_equality_is_coefficientwise_across_paths(value, other, fac
     shifted = from_u(value, AngularLabel(0, 0)).radial  # the same numerators at s - 1
     pairs = [(value, other), (value, scaled), (other, scaled), (scaled, _json_twin(scaled)), (value, shifted)]
     # Over a larger denominator than the least one, equal values are equal
-    # by cross-multiplication, and a numerator moved by 1 breaks it.
+    # by their reduced coefficients, and a numerator moved by 1 breaks it.
     for u in _PAST_LEAST:
         least = RadialSeries.exact(u.s, u.coeffs)
         moved = object.__new__(RadialSeries)._set(u.s, (*u._nums[:-1], u._nums[-1] + 1), u._den, True)

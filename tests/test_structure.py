@@ -1,6 +1,6 @@
 """Module structure of distpf: an acyclic import graph, imports at top level only,
-stdlib only, ``dataclasses`` in ``classify`` only, and a package namespace that is
-the union of the module ``__all__`` lists."""
+stdlib only, ``dataclasses`` in ``classify`` only, no private name left unread, and a
+package namespace that is the union of the module ``__all__`` lists."""
 
 import ast
 import graphlib
@@ -104,6 +104,32 @@ def test_no_unused_imports():
             else:
                 continue
             found += [f"{name}.py:{node.lineno}:{b}" for b in bound if b not in used]
+    assert found == []
+
+
+def test_every_private_name_is_read_in_src():
+    """Every module-level ``_name`` is read somewhere in the package, so a
+    helper goes when its last caller goes; a test alone does not keep it."""
+    trees = _trees()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                continue
+            private = [b for b in bound if b.startswith("_") and not b.startswith("__")]
+            found += [f"{name}.py:{node.lineno}:{b}" for b in private if b not in read]
     assert found == []
 
 
