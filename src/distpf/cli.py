@@ -13,12 +13,14 @@ Problems are described by flags and/or a flat `key = value` config file
 and so on, the series for `laplacian` as `s = -3` and `coeffs = 1, 0, 2`.
 A flag value passes the same check as the config line of its key, and an
 unknown key or a bad value is rejected with one
-`config error: field <key>: ...` line.  The input is capped: `ell` 0..40,
-`order` 1..1000, `s` -200..200, the potential index j of `v[j]` -1..1000,
-and an exact number at 4300 digits in its numerator or denominator written
-out (`1e4300` is past it).  Run time grows with the digits of exact inputs.
-Flag names are exact, and a value may start with a minus sign
-(`--energy -1/4`).
+`config error: field <key>: ...` line.  A config key may appear once
+(`v[0]` and `v[00]` are one key); a flag overrides the config line of its
+key.  `--config` and `--json` take a nonempty path.  The input is capped:
+`ell` 0..40, `order` 1..1000, `s` -200..200, the potential index j of
+`v[j]` -1..1000, and an exact number at 4300 digits in its numerator or
+denominator written out (`1e4300` is past it).  Run time grows with the
+digits of exact inputs.  Flag names are exact, and a value may start with
+a minus sign (`--energy -1/4`).
 
 Exit codes: 0 success, 1 bad input, 2 the requested series solution needs
 a logarithm, 3 a verification residual exceeded the tolerance (NaN counts
@@ -103,7 +105,7 @@ class ProblemSpec(_Record):
 
 
 def parse_config(text: str) -> dict:
-    """Parse `key = value` lines into a string map, tracking line numbers."""
+    """Parse `key = value` lines into a string map; a malformed line or a key set twice raises ConfigError."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -114,6 +116,8 @@ def parse_config(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key in out:
+            raise ConfigError(f"line {lineno}: key {key} is set twice")
         out[key] = value
     return out
 
@@ -222,6 +226,8 @@ def build_spec(config: dict, overrides: dict) -> ProblemSpec:
                 idx = _integer(key[2:-1])
                 if idx < -1:
                     raise ValueError("potential may not be more singular than 1/r")
+                if idx in poly:
+                    raise ValueError(f"potential index {idx} is set twice")
                 poly[_within(idx, -1, 1000, key[2:-1])] = _finite(text, mode)
             elif key in _FIELDS:
                 fields["units" if key == "hbar2_over_2m" else key] = _FIELDS[key](text, mode)
@@ -569,6 +575,8 @@ def _read_argv(argv: list) -> tuple:
             flags[_VALUE_FLAGS[flag]] = value = value if eq else next(tokens, None)
             if value is None:
                 raise ValueError(f"argument {flag}: expected one argument")
+            if not value and flag in ("--config", "--json"):
+                raise ValueError(f"argument {flag}: expected a path, got ''")
         elif tok == "--verify":
             flags["verify"] = "true"
         elif tok in ("-h", "--help"):

@@ -18,11 +18,12 @@ condition) and, for the lower root only, again at k = 2*ell + 1.  At that
 resonant order the right-hand side either vanishes (the free parameter is
 set to zero, yielding a canonical representative of the singular branch)
 or it does not, in which case no pure power series exists and the solver
-raises ``LogObstruction``.  Exact rows run in integers (fraction-free, as
-in Bareiss, Math. Comp. 22, 1968): each a_k = b_k / Q_k is kept as two
-integers, and at the end every b_k is brought over Q_N in place.  The
-series stores those numerators over one denominator and reduces no
-coefficient until one is read (see ``pseudofunction``).
+raises ``LogObstruction``.  Exact rows run in integers over one scale
+from the first row (fraction-free, as in Bareiss, Math. Comp. 22, 1968):
+Q is the product of the row factors K D(k) with D(k) != 0, a_0 is kept
+as Q, and each later a_k as n_k = a_k Q, found by one exact division of
+its integer row sum.  The series stores those numerators over Q and
+reduces no coefficient until one is read (see ``pseudofunction``).
 ``radial_residuals`` sums exact rows over the series' own denominator,
 again without a ``Fraction`` per coefficient, and sums its rows lag by
 lag: the kinetic term of every row first, then each lag weight added to
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import isfinite, lcm
+from math import isfinite, lcm, prod
 from operator import add, mul
 
 from .coeffs import _Record
@@ -161,8 +162,8 @@ def _lag_weights(V: PotentialModel, E) -> tuple:
 def _row_sum(w, a, m: int):
     """sum_d w[d-1] a_(m-d) over the lags 1 <= d <= m, added left to right.
 
-    For float rows of ``frobenius`` (m >= 1).  The sum starts at its first
-    term, so a -0.0 row stays -0.0.
+    For the rows of ``frobenius`` (m >= 1), integer or float.  The sum starts
+    at its first term, so a -0.0 row stays -0.0.
     """
     acc = w[0] * a[m - 1]
     for d in range(2, min(len(w), m) + 1):
@@ -199,11 +200,13 @@ def frobenius(
         raise ValueError(f"truncation order must be at least 1, got {N}")
 
     exact = V.is_exact and not isinstance(E, float)
+    D = [_indicial(k, root, ell) for k in range(N + 1)]
     if exact:
-        # a_k = b_k / Q_k with Q_k = f_1 ... f_k and f_k = K D(k) (1 where
-        # D(k) = 0), so b_k = sum_d c_d b_(k-d) f_(k-d+1) ... f_(k-1).
-        K, c, _ = _integer_row(_lag_weights(V, Fraction(E)), units.hbar2_over_2m)
-        b, f = [1], [1]
+        # n_k = a_k Q, Q = f_1 ... f_N with f_k = K D(k) (1 where D(k) = 0): row k,
+        # f_k n_k = sum_d w[d-1] n_(k-d), divides exactly, as f_1 ... f_k clears a_k.
+        K, w, _ = _integer_row(_lag_weights(V, Fraction(E)), units.hbar2_over_2m)
+        f = [K * x or 1 for x in D]
+        a = [prod(f)]
     else:
         kappa = units.to_float()
         vm1, *vpoly = (float(x) / kappa for x in (V.v_minus1, *V.v))
@@ -211,35 +214,18 @@ def frobenius(
         a = [1.0]
     resonance = None
     for k in range(1, N + 1):
-        if exact:
-            rhs = 0
-            for d in range(min(len(c), k), 0, -1):
-                rhs = rhs * f[k - d] + c[d - 1] * b[k - d]
-        else:
-            rhs = _row_sum(w, a, k)
-            # Fail closed: an inf or nan row (float overflow) would also fake an obstruction.
-            if not isfinite(rhs):
-                raise ValueError(f"float recurrence is not finite at order {k} (row value {rhs})")
-        D = _indicial(k, root, ell)
-        if D == 0:
+        rhs = _row_sum(w, a, k)
+        # Fail closed: an inf or nan row (float overflow) would also fake an obstruction.
+        if not exact and not isfinite(rhs):
+            raise ValueError(f"float recurrence is not finite at order {k} (row value {rhs})")
+        if D[k] == 0:
             if rhs != 0:
                 raise LogObstruction(k)
             resonance = FreeParameterSetToZero(k)
-        if exact:
-            f.append(K * D or 1)
-            b.append(rhs)
+            a.append(0 if exact else 0.0)
         else:
-            a.append(rhs / D if D else 0.0)
-
-    if exact:
-        # Bring every b_k / Q_k over Q_N in place: b_k f_(k+1) ... f_N / Q_N.
-        Q = 1
-        for k in range(N, -1, -1):
-            b[k] *= Q
-            Q *= f[k]
-        series = RadialSeries._over(root + 1, b, Q)
-    else:
-        series = RadialSeries(root + 1, tuple(a))
+            a.append(rhs // f[k] if exact else rhs / D[k])
+    series = RadialSeries._over(root + 1, a, a[0]) if exact else RadialSeries(root + 1, tuple(a))
     return FrobeniusResult(series=series, root_used=root, resonance_report=resonance)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -73,6 +74,15 @@ class TestConfigParsing:
     def test_field_diagnostics(self):
         with pytest.raises(ConfigError, match="energy"):
             build_spec({"energy": "three"}, {})
+
+    def test_key_set_twice(self):
+        with pytest.raises(ConfigError, match="line 3: key energy is set twice"):
+            parse_config("energy = 1\nell = 0\nenergy = 2\n")
+
+    @pytest.mark.parametrize("keys", [("v[0]", "v[00]"), ("v[+0]", "v[0]"), ("v[-1]", "v[-01]")])
+    def test_potential_index_set_twice(self, keys):
+        with pytest.raises(ConfigError, match=rf"field {re.escape(keys[1])}: potential index -?\d is set twice"):
+            build_spec(dict.fromkeys(keys, "1"), {})
 
     def test_flags_override_config(self):
         spec = build_spec({"ell": "1"}, {"ell": 2})
@@ -272,6 +282,29 @@ class TestMain:
 
     def test_missing_config_exit_1(self, capsys):
         assert main(["classify", "--config", "/nonexistent/x.cfg"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--json="], ["verify", "--json", ""], ["coeffs", "--config="], ["coeffs", "--config", ""]]
+    )
+    def test_empty_path_exit_1(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        flag = argv[1].rstrip("=")
+        assert capsys.readouterr() == ("", f"distpf: argument {flag}: expected a path, got ''\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_config_key_set_twice_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("v[0] = 1\nv[00] = 5\nenergy = 1\n")
+        assert main(["classify", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "distpf: config error: field v[00]: potential index 0 is set twice\n")
+        cfg.write_text("v[0] = 1\nenergy = 1\nenergy = 2\n")
+        assert main(["classify", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "distpf: config error: line 3: key energy is set twice\n")
+        # A flag still overrides the config line of its key.
+        cfg.write_text("v[0] = 1\nenergy = 1\n")
+        assert main(["solve", "--config", str(cfg), "--energy", "3", "--order", "2"]) == 0
+        assert capsys.readouterr().out == "root s=0: u(r) = (1) r^1 + (-1/3) r^3\n"
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["classify", "--root", "sideways"]) == 1

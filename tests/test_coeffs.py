@@ -46,6 +46,23 @@ class TestExactScalar:
         assert str(ExactScalar.pi_term(2, 1)) == "2*sqrt(pi)"
         assert str(ExactScalar.pi_term(Fraction(1, 2), -1)) == "1/2*pi^(-1/2)"
         assert str(ExactScalar.zero()) == "0"
+        assert str(ExactScalar.pi_term(-1, 2)) == "-pi"
+        assert str(ExactScalar.pi_term(1, 4)) == "pi^2"
+        assert str(ExactScalar.pi_term(3, -2)) == "3*pi^-1"
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: x + 1.5,
+            lambda x: x - 1.5,
+            lambda x: 1.5 - x,
+            lambda x: x * 1.5,
+        ],
+    )
+    def test_float_operand_is_a_type_error(self, op):
+        # Each operator returns NotImplemented for a float, and float does too.
+        with pytest.raises(TypeError):
+            op(ExactScalar.pi_term(1, 2))
 
     @given(
         st.fractions(min_value=-50, max_value=50, max_denominator=20),
@@ -109,6 +126,10 @@ class TestCoefficientL:
         for p in range(1, 26):
             assert coeff_L(p) == coeff_C(p) / (-(4 * p + 1))
 
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            coeff_L(-1)
+
 
 class TestCoefficientB:
     def test_ell_zero_is_one(self):
@@ -121,6 +142,11 @@ class TestCoefficientB:
     )
     def test_values(self, ell, p, expected):
         assert coeff_B(ell, p) == ExactScalar.rational(expected)
+
+    @pytest.mark.parametrize("ell, p", [(-1, 0), (0, -1)])
+    def test_rejects_negative(self, ell, p):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            coeff_B(ell, p)
 
     def test_never_zero_on_grid(self):
         for ell in range(21):

@@ -119,6 +119,11 @@ class TestAngularMoment:
     def test_symmetry(self):
         assert angular_moment(2, 4, 0) == angular_moment(0, 2, 4) == angular_moment(4, 0, 2)
 
+    @pytest.mark.parametrize("abc", [(-1, 0, 0), (0, 0, -2)])
+    def test_rejects_negative_exponents(self, abc):
+        with pytest.raises(ValueError, match="nonnegative"):
+            angular_moment(*abc)
+
     def test_contraction_with_r2(self):
         # sum of (a+2,b,c), (a,b+2,c), (a,b,c+2) moments equals (a,b,c)
         for abc in [(0, 0, 0), (2, 0, 0), (2, 2, 0)]:
@@ -298,6 +303,11 @@ class TestPairings:
     def test_zero_pf(self):
         pf = PseudoFunction(RadialSeries.zero(), AngularLabel(0, 0))
         assert pair_pseudofunction(pf, TestFunction.gaussian(1)) == 0.0
+
+    def test_non_integral_exponent_rejected(self):
+        pf = PseudoFunction(RadialSeries(-1.5, (1.0,)), AngularLabel(0, 0))
+        with pytest.raises(ValueError, match="integer leading exponent"):
+            pair_pseudofunction(pf, TestFunction.gaussian(1))
 
     def test_ell_five_pairs_against_its_own_core(self):
         # <r^s Y, core e^{-alpha r^2}> = sqrt(pi/q) F(s + ell + 2, alpha)

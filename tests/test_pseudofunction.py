@@ -224,6 +224,10 @@ class TestDeltaTypes:
         with pytest.raises(ValueError):
             DeltaTerm(ExactScalar.zero(), 0, 0, 0)
 
+    def test_negative_p_rejected(self):
+        with pytest.raises(ValueError, match="p must be nonnegative"):
+            DeltaTerm(ExactScalar.one(), 0, 0, -1)
+
     def test_identically_zero_term_rejected(self):
         with pytest.raises(ValueError):
             DeltaTerm(ExactScalar.one(), 3, 0, 1)  # 2p < ell
@@ -237,6 +241,10 @@ class TestDeltaTypes:
         total = DeltaSum.build([t, u, v])
         assert len(total) == 1
         assert total.coefficient_at(1, 0, 1) == ExactScalar.rational(1)
+        assert total.coefficient_at(0, 0, 1) == ExactScalar.zero()  # cancelled, so absent
+        # The same through +: (t + v) + (u + v) merges v's key and drops t's.
+        added = DeltaSum.build([t, v]) + DeltaSum.build([u, v])
+        assert added == DeltaSum.build([DeltaTerm(ExactScalar.rational(2), 1, 0, 1)])
 
     def test_sum_sorted_by_key(self):
         terms = [

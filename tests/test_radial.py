@@ -1,7 +1,7 @@
 """Series solver: indicial roots, recurrence, resonances, residuals."""
 
 from fractions import Fraction
-from math import factorial, inf, nan
+from math import factorial, inf, nan, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,12 +21,17 @@ from distpf import (
     normalizable_at_origin,
     radial_residuals,
 )
+from distpf.radial import _integer_row
 
 
 class TestIndicialRoots:
     @pytest.mark.parametrize("ell, expected", [(0, (0, -1)), (1, (1, -2)), (3, (3, -4))])
     def test_values(self, ell, expected):
         assert indicial_roots(ell) == expected
+
+    def test_rejects_negative_ell(self):
+        with pytest.raises(ValueError, match="ell must be nonnegative"):
+            indicial_roots(-1)
 
     def test_root_coefficient_vanishing_pattern(self):
         # D(k) = (k+s+1)(k+s) - ell(ell+1) vanishes only at k = 0 for the
@@ -239,6 +244,13 @@ class TestIntegerRecurrence:
         assert all(type(c) is Fraction for c in res.series.coeffs)
         expected_report = None if resonance is None else FreeParameterSetToZero(resonance)
         assert res.resonance_report == expected_report
+        # Stored layout: numerators over |prod of the nonzero row factors K D(k)|, unreduced.
+        E = Fraction(E)
+        K, _, _ = _integer_row((V.v_minus1, (V.v[0] if V.v else 0) - E, *V.v[1:]), Fraction(kappa))
+        D = [(k + root + 1) * (k + root) - ell * (ell + 1) for k in range(1, N + 1)]
+        den = res.series._den
+        assert den == abs(prod(K * d for d in D if d))
+        assert res.series._nums == tuple(den * a for a in expected)
         return expected
 
     @settings(max_examples=150, deadline=None)
@@ -254,6 +266,16 @@ class TestIntegerRecurrence:
         if N >= 2 * ell + 1:
             report = frobenius(V, ell, E, root, N, PhysicalUnits(kappa)).resonance_report
             assert report == FreeParameterSetToZero(2 * ell + 1)
+
+    @pytest.mark.parametrize(
+        "V, ell, E, root, kappa",
+        [
+            (PotentialModel(Fraction(-2, 3), (Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7))), 1, -1, 1, 1),
+            (PotentialModel(0, (Fraction(1, 3), 0, Fraction(2, 5))), 2, Fraction(-1, 7), -3, Fraction(3, 2)),
+        ],
+    )
+    def test_deep_series_matches_reference(self, V, ell, E, root, kappa):
+        self._check_frobenius(V, ell, E, root, 400, kappa)
 
     def test_coulomb_singular_root_obstructs_at_resonance(self):
         for ell in range(4):
