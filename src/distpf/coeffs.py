@@ -121,8 +121,9 @@ class ExactScalar(_Record):
     def from_map(mapping: dict) -> "ExactScalar":
         items = []
         for h, q in mapping.items():
-            q = Fraction(q)
-            if q != 0:
+            if q.__class__ is not Fraction:
+                q = Fraction(q)
+            if q:
                 items.append((int(h), q))
         items.sort()
         return ExactScalar(tuple(items))
@@ -130,12 +131,12 @@ class ExactScalar(_Record):
     @staticmethod
     def rational(q) -> "ExactScalar":
         """The plain rational q (pi-power zero)."""
-        return ExactScalar.from_map({0: Fraction(q)})
+        return ExactScalar.from_map({0: q})
 
     @staticmethod
     def pi_term(q, half_power: int) -> "ExactScalar":
         """The single term q * pi^(half_power / 2)."""
-        return ExactScalar.from_map({half_power: Fraction(q)})
+        return ExactScalar.from_map({half_power: q})
 
     @staticmethod
     def zero() -> "ExactScalar":
@@ -168,7 +169,7 @@ class ExactScalar(_Record):
             return NotImplemented
         acc = dict(self.terms)
         for h, q in other.terms:
-            acc[h] = acc.get(h, Fraction(0)) + q
+            acc[h] = acc[h] + q if h in acc else q
         return ExactScalar.from_map(acc)
 
     __radd__ = __add__
@@ -196,7 +197,7 @@ class ExactScalar(_Record):
         for h1, q1 in self.terms:
             for h2, q2 in other.terms:
                 h = h1 + h2
-                acc[h] = acc.get(h, Fraction(0)) + q1 * q2
+                acc[h] = acc[h] + q1 * q2 if h in acc else q1 * q2
         return ExactScalar.from_map(acc)
 
     __rmul__ = __mul__

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from . import radial
 from .coeffs import ExactScalar, coeff_B, coeff_C
@@ -135,7 +136,7 @@ def laplacian(pf: PseudoFunction) -> DistributionExpr:
     """
     rad, label = pf.radial, pf.angular
     s, ell = rad.s, label.ell
-    out = [radial._indicial(k, s, ell) * a for k, a in enumerate(rad.coeffs)]
+    out = list(map(mul, radial._indicials(len(rad.coeffs), s, ell), rad.coeffs))
     if not rad.is_exact:
         for k, (a, b) in enumerate(zip(rad.coeffs, out)):
             if math.isfinite(a) and not math.isfinite(b):

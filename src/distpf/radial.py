@@ -18,17 +18,21 @@ condition) and, for the lower root only, again at k = 2*ell + 1.  At that
 resonant order the right-hand side either vanishes (the free parameter is
 set to zero, yielding a canonical representative of the singular branch)
 or it does not, in which case no pure power series exists and the solver
-raises ``LogObstruction``.  Exact rows run in integers over one scale
-from the first row (fraction-free, as in Bareiss, Math. Comp. 22, 1968):
-Q is the product of the row factors K D(k) with D(k) != 0, a_0 is kept
-as Q, and each later a_k as n_k = a_k Q, found by one exact division of
-its integer row sum.  The series stores those numerators over Q and
-reduces no coefficient until one is read (see ``pseudofunction``).
-``radial_residuals`` sums exact rows over the series' own denominator,
-again without a ``Fraction`` per coefficient, and sums its rows lag by
-lag: the kinetic term of every row first, then each lag weight added to
-all rows at once.  That is the order of the row-at-a-time sum (kinetic
-term, lag 1, lag 2, ...), so float rows round exactly as it would.
+raises ``LogObstruction``.  Exact rows run in integers (fraction-free,
+as in Bareiss, Math. Comp. 22, 1968): Q is the product of the row
+factors K D(k) with D(k) != 0, a_0 is kept as Q, and each later a_k as
+n_k = a_k Q, found by one exact division of its integer row sum (one
+C-level sum; float rows keep their left-to-right sum).  A singular root
+runs its rows up to the resonance over the head product of those factors
+only, so an obstruction stops before Q is built; then the numerators are
+multiplied once by the remaining factors.  The series stores the
+numerators over Q and reduces no coefficient until one is read (see
+``pseudofunction``).  ``radial_residuals`` sums exact rows over the
+series' own denominator, again without a ``Fraction`` per coefficient,
+and sums its rows lag by lag: the kinetic term of every row first, then
+each lag weight added to all rows at once.  That is the order of the
+row-at-a-time sum (kinetic term, lag 1, lag 2, ...), so float rows round
+exactly as it would.
 
 The problem data live here too: ``PotentialModel`` for V(r) and
 ``PhysicalUnits`` for kappa.
@@ -37,6 +41,7 @@ The problem data live here too: ``PotentialModel`` for V(r) and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import isfinite, lcm, prod
 from operator import add, mul
@@ -149,9 +154,14 @@ def normalizable_at_origin(s) -> bool:
     return s > Fraction(-3, 2)
 
 
-def _indicial(m: int, s, ell: int):
-    """D(m) = (m+s+1)(m+s) - ell(ell+1), the factor of a_m in recurrence row m."""
-    return (m + s + 1) * (m + s) - ell * (ell + 1)
+@lru_cache(maxsize=256, typed=True)
+def _indicials(n: int, s, ell: int) -> tuple:
+    """(D(0), ..., D(n-1)) with D(m) = (m+s+1)(m+s) - ell(ell+1), the factor of a_m in row m.
+
+    Typed, so an int exponent's table never serves a float one.
+    """
+    c = ell * (ell + 1)
+    return tuple([(m + s + 1) * (m + s) - c for m in range(n)])
 
 
 def _lag_weights(V: PotentialModel, E) -> tuple:
@@ -162,8 +172,9 @@ def _lag_weights(V: PotentialModel, E) -> tuple:
 def _row_sum(w, a, m: int):
     """sum_d w[d-1] a_(m-d) over the lags 1 <= d <= m, added left to right.
 
-    For the rows of ``frobenius`` (m >= 1), integer or float.  The sum starts
-    at its first term, so a -0.0 row stays -0.0.
+    For the float rows of ``frobenius`` (m >= 1); ``sum`` would round
+    differently from Python 3.12 on.  The sum starts at its first term, so
+    a -0.0 row stays -0.0.
     """
     acc = w[0] * a[m - 1]
     for d in range(2, min(len(w), m) + 1):
@@ -176,6 +187,13 @@ def _integer_row(w, kappa: Fraction):
     L = lcm(kappa.denominator, *(x.denominator for x in w))
     c = [x.numerator * (L // x.denominator) for x in w]
     return kappa.numerator * (L // kappa.denominator), c, L
+
+
+def _resonance(k: int, rhs) -> FreeParameterSetToZero:
+    """Row k with D(k) = 0: a nonzero right-hand side needs a logarithm, else a_k is set to 0."""
+    if rhs != 0:
+        raise LogObstruction(k)
+    return FreeParameterSetToZero(k)
 
 
 def frobenius(
@@ -200,32 +218,45 @@ def frobenius(
         raise ValueError(f"truncation order must be at least 1, got {N}")
 
     exact = V.is_exact and not isinstance(E, float)
-    D = [_indicial(k, root, ell) for k in range(N + 1)]
+    D = _indicials(N + 1, root, ell)
+    resonance = None
     if exact:
         # n_k = a_k Q, Q = f_1 ... f_N with f_k = K D(k) (1 where D(k) = 0): row k,
-        # f_k n_k = sum_d w[d-1] n_(k-d), divides exactly, as f_1 ... f_k clears a_k.
-        K, w, _ = _integer_row(_lag_weights(V, Fraction(E)), units.hbar2_over_2m)
+        # f_k n_k = sum_d c_d n_(k-d), divides exactly, as f_1 ... f_k clears a_k.
+        # A singular root runs rows 1 .. r = 2 ell + 1 over f_1 ... f_r first.
+        K, c, _ = _integer_row(_lag_weights(V, Fraction(E)), units.hbar2_over_2m)
         f = [K * x or 1 for x in D]
-        a = [prod(f)]
+        r = min(2 * ell + 1, N) if root < 0 else N
+        # n_k sits at n[L + k] after L zeros, so row k is one sum over the window n[k : k + L].
+        L, c = len(c), c[::-1]
+        n = [0] * L + [prod(f[: r + 1])]
+        for k in range(1, N + 1):
+            if k == r + 1:
+                tail = prod(f[k:])
+                n = [x * tail for x in n]
+            rhs = sum(map(mul, c, n[k : k + L]))
+            if D[k]:
+                n.append(rhs // f[k])
+            else:
+                resonance = _resonance(k, rhs)
+                n.append(0)
+        series = RadialSeries._over(root + 1, n[L:], n[L])
     else:
         kappa = units.to_float()
         vm1, *vpoly = (float(x) / kappa for x in (V.v_minus1, *V.v))
         w = (vm1, (vpoly[0] if vpoly else 0) - float(E) / kappa, *vpoly[1:])
         a = [1.0]
-    resonance = None
-    for k in range(1, N + 1):
-        rhs = _row_sum(w, a, k)
-        # Fail closed: an inf or nan row (float overflow) would also fake an obstruction.
-        if not exact and not isfinite(rhs):
-            raise ValueError(f"float recurrence is not finite at order {k} (row value {rhs})")
-        if D[k] == 0:
-            if rhs != 0:
-                raise LogObstruction(k)
-            resonance = FreeParameterSetToZero(k)
-            a.append(0 if exact else 0.0)
-        else:
-            a.append(rhs // f[k] if exact else rhs / D[k])
-    series = RadialSeries._over(root + 1, a, a[0]) if exact else RadialSeries(root + 1, tuple(a))
+        for k in range(1, N + 1):
+            rhs = _row_sum(w, a, k)
+            # Fail closed: an inf or nan row (float overflow) would also fake an obstruction.
+            if not isfinite(rhs):
+                raise ValueError(f"float recurrence is not finite at order {k} (row value {rhs})")
+            if D[k]:
+                a.append(rhs / D[k])
+            else:
+                resonance = _resonance(k, rhs)
+                a.append(0.0)
+        series = RadialSeries(root + 1, tuple(a))
     return FrobeniusResult(series=series, root_used=root, resonance_report=resonance)
 
 
@@ -254,7 +285,7 @@ def radial_residuals(
         # Over the common denominator L*M, with the series' own n_k = a_k M.
         K, c, L = _integer_row(w, kappa)
         n, M = series._nums, series._den
-        rows = [-K * _indicial(m, s, ell) * x for m, x in enumerate(n)]
+        rows = [-K * d * x for d, x in zip(_indicials(len(n), s, ell), n)]
         for d, cd in enumerate(c, 1):
             if cd:
                 rows[d:] = map(add, rows[d:], map(mul, repeat(cd), n))
@@ -265,7 +296,7 @@ def radial_residuals(
     # Float rows: int / int rounds -kappa D(m) once, exactly as float(Fraction) would.
     # Every lag weight is added, zeros too: 0.0 * inf and -0.0 + 0.0 change a row.
     kn, kd = kappa.numerator, kappa.denominator
-    rows = [-(kn * _indicial(m, s, ell)) / kd * x for m, x in enumerate(a)]
+    rows = [-(kn * d) / kd * x for d, x in zip(_indicials(len(a), s, ell), a)]
     for d, wd in enumerate(w, 1):
         rows[d:] = map(add, rows[d:], map(mul, repeat(wd), a))
     return rows

@@ -18,10 +18,11 @@ from distpf import (
     frobenius,
     hamiltonian_apply,
     indicial_roots,
+    laplacian,
     normalizable_at_origin,
     radial_residuals,
 )
-from distpf.radial import _integer_row
+from distpf.radial import _indicials, _integer_row
 
 
 class TestIndicialRoots:
@@ -43,6 +44,39 @@ class TestIndicialRoots:
                 D_down = (k + down + 1) * (k + down) - ell * (ell + 1)
                 assert D_up != 0
                 assert (D_down == 0) == (k == 2 * ell + 1)
+
+
+class TestIndicials:
+    @pytest.mark.parametrize("s", [3, -4, 2.0, -4.5, Fraction(-7, 2)])
+    def test_table_values_and_type(self, s):
+        # An int exponent gives int entries, a float one float entries.
+        table = _indicials(9, s, 3)
+        assert table == tuple((m + s + 1) * (m + s) - 12 for m in range(9))
+        assert all(type(d) is type(s) for d in table)
+
+    def test_frobenius_reads_the_cached_table(self):
+        V = PotentialModel(0, (Fraction(1, 3),))
+        frobenius(V, 2, Fraction(1), -3, 37)
+        hits = _indicials.cache_info().hits
+        frobenius(V, 2, Fraction(1), -3, 37)
+        assert _indicials.cache_info().hits > hits
+
+    def test_cache_is_bounded(self):
+        assert _indicials.cache_info().maxsize == 256
+        for n in range(1, 300):
+            _indicials(n, -9, 4)
+        assert _indicials.cache_info().currsize <= 256
+
+    def test_float_laplacian_is_not_served_the_int_table(self):
+        # float(s) == s, yet D(2) rounds differently in floats than as an exact int.
+        s, ell = 1098830580546846976, 0
+        assert float(s) == s and float((2 + s + 1) * (2 + s)) != (2 + float(s) + 1) * (2 + float(s))
+        exact = laplacian(PseudoFunction(RadialSeries(s, (1, 1, 1)), AngularLabel(ell, 0)))
+        assert all(type(a) is Fraction for a in exact.pf_part.radial.coeffs)
+        got = laplacian(PseudoFunction(RadialSeries(float(s), (1.0, -1.0, 3.0)), AngularLabel(ell, 0)))
+        x = float(s)
+        expected = [(m + x + 1) * (m + x) * a for m, a in enumerate((1.0, -1.0, 3.0))]
+        assert [a.hex() for a in got.pf_part.radial.coeffs] == [a.hex() for a in expected]
 
 
 class TestFrobenius:
@@ -276,6 +310,26 @@ class TestIntegerRecurrence:
     )
     def test_deep_series_matches_reference(self, V, ell, E, root, kappa):
         self._check_frobenius(V, ell, E, root, 400, kappa)
+
+    @pytest.mark.parametrize("ell", range(5))
+    @pytest.mark.parametrize(
+        "V, obstructs",
+        [
+            (PotentialModel(-2, (Fraction(1, 3),)), True),
+            (PotentialModel(0, (Fraction(1, 3), 0, Fraction(-2, 5))), False),
+        ],
+        ids=["coulomb", "even"],
+    )
+    def test_singular_root_around_the_resonance(self, V, obstructs, ell):
+        # Rows up to the resonance r = 2 ell + 1 run over f_1 ... f_r, later rows
+        # after one rescale: N just below r, at r, one past r, and far past it.
+        for N in (2 * ell, 2 * ell + 1, 2 * ell + 2, 400):
+            if N < 1:
+                continue
+            self._check_frobenius(V, ell, Fraction(-1, 2), -(ell + 1), N, Fraction(3, 2))
+            _, resonance, obstruction = reference_frobenius(V, ell, Fraction(-1, 2), -(ell + 1), N, Fraction(3, 2))
+            stop = 2 * ell + 1 if N > 2 * ell else None
+            assert (obstruction, resonance) == ((stop, None) if obstructs else (None, stop))
 
     def test_coulomb_singular_root_obstructs_at_resonance(self):
         for ell in range(4):
