@@ -155,9 +155,10 @@ def classify_solution(
     present, is reported exactly, scaled by -(hbar^2/2m) and with the
     l = 0 angular normalisation folded in.
     """
+    label = AngularLabel(ell, mu)  # an invalid label raises before any series is built
     try:
         result = frobenius(V, ell, E, root, N, units)
     except LogObstruction as obs:
         return Verdict.of(root, obstruction_order=obs.order)
-    pf = from_u(result.series, AngularLabel(ell, mu))
+    pf = from_u(result.series, label)
     return Verdict.of(root, delta_source(pf, units), result.series)

@@ -18,16 +18,19 @@ condition) and, for the lower root only, again at k = 2*ell + 1.  At that
 resonant order the right-hand side either vanishes (the free parameter is
 set to zero, yielding a canonical representative of the singular branch)
 or it does not, in which case no pure power series exists and the solver
-raises ``LogObstruction``.  Exact rows run in integers (fraction-free,
-as in Bareiss, Math. Comp. 22, 1968): Q is the product of the row
-factors K D(k) with D(k) != 0, a_0 is kept as Q, and each later a_k as
-n_k = a_k Q, found by one exact division of its integer row sum (one
-C-level sum; float rows keep their left-to-right sum).  A singular root
-runs its rows up to the resonance over the head product of those factors
-only, so an obstruction stops before Q is built; then the numerators are
-multiplied once by the remaining factors.  The series stores the
-numerators over Q and reduces no coefficient until one is read (see
-``pseudofunction``).  ``radial_residuals`` sums exact rows over the
+raises ``LogObstruction``.  ``frobenius`` runs both modes through one
+row loop, and each row is one C-level pass over the lag weights against
+the coefficients before it, newest first, ending at a_0 or the last lag
+(no zero padding): an integer ``sum`` in exact mode, a left-to-right fold
+from the first term in float mode.  Exact rows run in integers
+(fraction-free, as in Bareiss, Math. Comp. 22, 1968): Q is the product
+of the row factors K D(k) with D(k) != 0, a_0 is kept as Q, and each
+later a_k as n_k = a_k Q, found by one exact division of its row sum.
+A singular root runs its rows up to the resonance over the head product
+of those factors only, so an obstruction stops before Q is built; then
+the numerators are multiplied once by the remaining factors.  The series
+stores the numerators over Q and reduces no coefficient until one is
+read (see ``pseudofunction``).  ``radial_residuals`` sums exact rows over the
 series' own denominator, again without a ``Fraction`` per coefficient,
 and sums its rows lag by lag: the kinetic term of every row first, then
 each lag weight added to all rows at once.  That is the order of the
@@ -41,7 +44,7 @@ The problem data live here too: ``PotentialModel`` for V(r) and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from math import isfinite, lcm, prod
 from operator import add, mul
@@ -164,22 +167,9 @@ def _indicials(n: int, s, ell: int) -> tuple:
     return tuple([(m + s + 1) * (m + s) - c for m in range(n)])
 
 
-def _lag_weights(V: PotentialModel, E) -> tuple:
+def _lag_weights(v_minus1, v, E) -> tuple:
     """(v_(-1), v_0 - E, v_1, v_2, ...): the weights of a_(m-1), a_(m-2), ... in row m."""
-    return (V.v_minus1, (V.v[0] if V.v else 0) - E, *V.v[1:])
-
-
-def _row_sum(w, a, m: int):
-    """sum_d w[d-1] a_(m-d) over the lags 1 <= d <= m, added left to right.
-
-    For the float rows of ``frobenius`` (m >= 1); ``sum`` would round
-    differently from Python 3.12 on.  The sum starts at its first term, so
-    a -0.0 row stays -0.0.
-    """
-    acc = w[0] * a[m - 1]
-    for d in range(2, min(len(w), m) + 1):
-        acc = acc + w[d - 1] * a[m - d]
-    return acc
+    return (v_minus1, (v[0] if v else 0) - E, *v[1:])
 
 
 def _integer_row(w, kappa: Fraction):
@@ -187,13 +177,6 @@ def _integer_row(w, kappa: Fraction):
     L = lcm(kappa.denominator, *(x.denominator for x in w))
     c = [x.numerator * (L // x.denominator) for x in w]
     return kappa.numerator * (L // kappa.denominator), c, L
-
-
-def _resonance(k: int, rhs) -> FreeParameterSetToZero:
-    """Row k with D(k) = 0: a nonzero right-hand side needs a logarithm, else a_k is set to 0."""
-    if rhs != 0:
-        raise LogObstruction(k)
-    return FreeParameterSetToZero(k)
 
 
 def frobenius(
@@ -206,10 +189,11 @@ def frobenius(
 ) -> FrobeniusResult:
     """Solve the radial recurrence to order N for the requested root.
 
-    The result's series is for u(r), so its leading exponent is root + 1,
-    normalised to a_0 = 1.  Exact mode (rational E and potential) produces
-    rational coefficients; a float anywhere switches the whole series to
-    floats.
+    The result's series is for u(r) = r R(r), so its leading exponent is
+    root + 1, normalised to a_0 = 1; ``radial_residuals`` reads R instead,
+    so give it ``from_u(result.series, label).radial``.  Exact mode
+    (rational E and potential) produces rational coefficients; a float
+    anywhere switches the whole series to floats.
     """
     roots = indicial_roots(ell)
     if root not in roots:
@@ -219,44 +203,42 @@ def frobenius(
 
     exact = V.is_exact and not isinstance(E, float)
     D = _indicials(N + 1, root, ell)
-    resonance = None
     if exact:
         # n_k = a_k Q, Q = f_1 ... f_N with f_k = K D(k) (1 where D(k) = 0): row k,
-        # f_k n_k = sum_d c_d n_(k-d), divides exactly, as f_1 ... f_k clears a_k.
+        # f_k n_k = sum_d w_d n_(k-d), divides exactly, as f_1 ... f_k clears a_k.
         # A singular root runs rows 1 .. r = 2 ell + 1 over f_1 ... f_r first.
-        K, c, _ = _integer_row(_lag_weights(V, Fraction(E)), units.hbar2_over_2m)
+        K, w, _ = _integer_row(_lag_weights(V.v_minus1, V.v, Fraction(E)), units.hbar2_over_2m)
         f = [K * x or 1 for x in D]
         r = min(2 * ell + 1, N) if root < 0 else N
-        # n_k sits at n[L + k] after L zeros, so row k is one sum over the window n[k : k + L].
-        L, c = len(c), c[::-1]
-        n = [0] * L + [prod(f[: r + 1])]
-        for k in range(1, N + 1):
-            if k == r + 1:
-                tail = prod(f[k:])
-                n = [x * tail for x in n]
-            rhs = sum(map(mul, c, n[k : k + L]))
-            if D[k]:
-                n.append(rhs // f[k])
-            else:
-                resonance = _resonance(k, rhs)
-                n.append(0)
-        series = RadialSeries._over(root + 1, n[L:], n[L])
+        a = [prod(f[: r + 1])]
     else:
         kappa = units.to_float()
-        vm1, *vpoly = (float(x) / kappa for x in (V.v_minus1, *V.v))
-        w = (vm1, (vpoly[0] if vpoly else 0) - float(E) / kappa, *vpoly[1:])
+        w = _lag_weights(float(V.v_minus1) / kappa, [float(x) / kappa for x in V.v], float(E) / kappa)
+        r = N  # no rescale: float rows run over a_0 = 1
         a = [1.0]
-        for k in range(1, N + 1):
-            rhs = _row_sum(w, a, k)
+    resonance = None
+    for k in range(1, N + 1):
+        if k == r + 1:
+            tail = prod(f[k:])
+            a = [x * tail for x in a]
+        # Row k: w[0] a_(k-1) + w[1] a_(k-2) + ..., cut off after a_0 or the last lag.
+        if exact:
+            rhs = sum(map(mul, w, reversed(a)))
+        else:
+            # A left fold from the first term, not ``sum``: that rounds differently from
+            # Python 3.12 on, and a -0.0 row stays -0.0.
+            rhs = reduce(add, map(mul, w, reversed(a)))
             # Fail closed: an inf or nan row (float overflow) would also fake an obstruction.
             if not isfinite(rhs):
                 raise ValueError(f"float recurrence is not finite at order {k} (row value {rhs})")
-            if D[k]:
-                a.append(rhs / D[k])
-            else:
-                resonance = _resonance(k, rhs)
-                a.append(0.0)
-        series = RadialSeries(root + 1, tuple(a))
+        if D[k]:
+            a.append(rhs // f[k] if exact else rhs / D[k])
+        elif rhs != 0:  # D(k) = 0: a nonzero row needs a logarithm, else a_k is set to 0
+            raise LogObstruction(k)
+        else:
+            resonance = FreeParameterSetToZero(k)
+            a.append(0 if exact else 0.0)
+    series = RadialSeries._over(root + 1, a, a[0]) if exact else RadialSeries(root + 1, tuple(a))
     return FrobeniusResult(series=series, root_used=root, resonance_report=resonance)
 
 
@@ -271,16 +253,18 @@ def radial_residuals(
     units: PhysicalUnits,
     series: RadialSeries,
 ) -> list:
-    """Coefficients of (H - E) applied to r^s * series, in the function sense.
+    """Coefficients of (H - E) applied to R(r) = r^s * series, in the function sense.
 
-    Entry m is the coefficient of r^(s+m-2); the series solves the radial
-    equation to its truncation order exactly when every entry vanishes.
+    The series is that of R, not of u = r R as ``frobenius`` returns it:
+    pass ``from_u(result.series, label).radial``.  Entry m is the
+    coefficient of r^(s+m-2); the series solves the radial equation to its
+    truncation order exactly when every entry vanishes.
     These are the complete rows of the recurrence: each one only references
     stored coefficients.
     """
     kappa = units.hbar2_over_2m
     s = series.s
-    w = _lag_weights(V, E)
+    w = _lag_weights(V.v_minus1, V.v, E)
     if series.is_exact and V.is_exact and not isinstance(E, float):
         # Over the common denominator L*M, with the series' own n_k = a_k M.
         K, c, L = _integer_row(w, kappa)

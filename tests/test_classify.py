@@ -3,6 +3,8 @@
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 import distpf.classify
 import distpf.radial
 from distpf import (
@@ -95,6 +97,16 @@ class TestClassifySolution:
         assert v.kind is VerdictKind.NOT_RADIAL_SOLUTION
         assert v.obstruction_order == 1
         assert v.u_series is None
+
+    @pytest.mark.parametrize("root", [0, -1])
+    def test_invalid_label_raises_before_solving(self, root, monkeypatch):
+        # At root -1 this problem obstructs, so a label checked after solving would end in a verdict.
+        def unreachable(*args):
+            raise AssertionError("frobenius ran for an invalid label")
+
+        monkeypatch.setattr(distpf.classify, "frobenius", unreachable)
+        with pytest.raises(ValueError, match="mu"):
+            classify_solution(PotentialModel.coulomb(-2), 0, 3, Fraction(-1), root, 8)
 
     def test_regular_root_sweep_always_solves(self, rng):
         for _ in range(40):

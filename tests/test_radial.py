@@ -1,7 +1,7 @@
 """Series solver: indicial roots, recurrence, resonances, residuals."""
 
 from fractions import Fraction
-from math import factorial, inf, nan, prod
+from math import factorial, inf, isfinite, nan, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +16,7 @@ from distpf import (
     PseudoFunction,
     RadialSeries,
     frobenius,
+    from_u,
     hamiltonian_apply,
     indicial_roots,
     laplacian,
@@ -181,6 +182,15 @@ class TestFrobenius:
             hamiltonian_apply(pf, PotentialModel(0.5), 1.0, units)
         assert frobenius(PotentialModel(Fraction(1, 2)), 0, 1, 0, 4, units).series.is_exact
 
+    def test_series_is_u_and_residuals_read_R(self):
+        # frobenius returns u = r R at exponent root + 1; radial_residuals reads R.
+        V, ell, E, units = PotentialModel(-2, (Fraction(1, 3),)), 1, Fraction(-1, 2), PhysicalUnits()
+        u = frobenius(V, ell, E, ell, 10, units).series
+        assert u.s == ell + 1
+        as_u = radial_residuals(V, ell, E, units, u)
+        as_R = radial_residuals(V, ell, E, units, from_u(u, AngularLabel(ell, 0)).radial)
+        assert (sum(r != 0 for r in as_u), sum(r != 0 for r in as_R)) == (11, 0)
+
     def test_residuals_flag_non_solutions(self):
         R = RadialSeries.exact(0, (1, 1))
         res = radial_residuals(PotentialModel.zero(), 0, Fraction(0), PhysicalUnits(), R)
@@ -225,6 +235,36 @@ def reference_residuals(V, ell, E, kappa, s, a):
         row = -kappa * ((m + s + 1) * (m + s) - ell * (ell + 1)) * a[m]
         rows.append(row + kappa * _reference_rhs(V, E, kappa, a, m) if m else row)
     return rows
+
+
+def reference_float_frobenius(V, ell, E, root, N, kappa):
+    """(coefficients, resonant order or None, stop or None) in floats, term by term.
+
+    The weights are float(v) / kappa and float(E) / kappa; stop is ("log", k)
+    for an obstruction at row k and ("inf", k) for a row that is not finite.
+    """
+    kappa = float(kappa)
+    vm1 = float(V.v_minus1) / kappa
+    vpoly = [float(c) / kappa for c in V.v]
+    v0_minus_e = (vpoly[0] if vpoly else 0) - float(E) / kappa
+    a, resonance = [1.0], None
+    for k in range(1, N + 1):
+        rhs = vm1 * a[k - 1]
+        if k >= 2:
+            rhs = rhs + v0_minus_e * a[k - 2]
+            for j in range(1, min(len(vpoly), k - 1)):
+                rhs = rhs + vpoly[j] * a[k - 2 - j]
+        if not isfinite(rhs):
+            return a, resonance, ("inf", k)
+        D = (k + root + 1) * (k + root) - ell * (ell + 1)
+        if D == 0:
+            if rhs != 0:
+                return a, resonance, ("log", k)
+            a.append(0.0)
+            resonance = k
+        else:
+            a.append(rhs / D)
+    return a, resonance, None
 
 
 rationals = st.one_of(
@@ -415,6 +455,122 @@ class TestIntegerRecurrence:
             for d in range(1, min(len(w), m) + 1):
                 row = row + w[d - 1] * a[m - d]
             assert repr(r) == repr(row)
+
+
+@st.composite
+def float_problems(draw):
+    """(V, ell, E, root, N, kappa) in float mode; V may mix rationals into floats.
+
+    Half the potentials have only v_0 and v_2, so a singular root reaches
+    its resonant row with a zero right-hand side."""
+    ell = draw(st.integers(min_value=0, max_value=3))
+    coeff = st.one_of(float_coeffs, rationals)
+    if draw(st.booleans()):
+        V = PotentialModel(0.0, (draw(coeff), draw(st.sampled_from([0.0, -0.0])), draw(coeff)))
+    else:
+        V = PotentialModel(draw(coeff), tuple(draw(st.lists(coeff, max_size=3))))
+    root = draw(st.sampled_from(indicial_roots(ell)))
+    return V, ell, draw(float_coeffs), root, draw(st.integers(min_value=1, max_value=60)), draw(kappas)
+
+
+class TestFloatRecurrence:
+    """Float frobenius against the term-by-term float recurrence, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_problems())
+    def test_frobenius_matches_reference(self, problem):
+        V, ell, E, root, N, kappa = problem
+        expected, resonance, stop = reference_float_frobenius(V, ell, E, root, N, Fraction(kappa))
+        units = PhysicalUnits(kappa)
+        if stop is not None:
+            kind, order = stop
+            error = LogObstruction if kind == "log" else ValueError
+            with pytest.raises(error) as err:
+                frobenius(V, ell, E, root, N, units)
+            if kind == "log":
+                assert err.value.order == order
+            else:
+                assert str(err.value).startswith(f"float recurrence is not finite at order {order} ")
+            return
+        res = frobenius(V, ell, E, root, N, units)
+        assert not res.series.is_exact and res.series.s == root + 1
+        assert [repr(c) for c in res.series.coeffs] == [repr(c) for c in expected]
+        expected_report = None if resonance is None else FreeParameterSetToZero(resonance)
+        assert res.resonance_report == expected_report
+
+
+# -- closed-form solution families ----------------------------------------
+
+
+def _times_exp(a, rate, step):
+    """Each coefficient of (sum_k a_k r^k) e^(rate r^step) up to order len(a) - 1,
+    with the sum of the absolute values of its terms."""
+    out = []
+    for j in range(len(a)):
+        terms = [a[j - step * m] * rate**m / factorial(m) for m in range(j // step + 1)]
+        out.append((sum(terms), sum(map(abs, terms))))
+    return out
+
+
+def _assert_degree(series, rate, step, degree):
+    """The series times e^(rate r^step) is a polynomial of exactly this degree."""
+    for j, (c, scale) in enumerate(_times_exp(series.coeffs, rate, step)):
+        vanishes = c == 0 if series.is_exact else abs(c) <= 1e-12 * scale
+        if j >= degree:
+            assert vanishes == (j > degree), (j, c, scale)
+
+
+def _double_factorial(n):
+    return prod(range(n, 0, -2))
+
+
+MODES = [pytest.param(Fraction, id="exact"), pytest.param(float, id="float")]
+
+
+class TestClosedFormFamilies:
+    """Known solutions, each checked without the recurrence's own weights."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n, ell", [(n, ell) for n in range(1, 7) for ell in range(n)])
+    def test_hydrogen_series_times_decay_is_a_polynomial(self, mode, n, ell):
+        # kappa = 1, V = -2/r, E = -1/n^2: u e^(r/n) / r^(ell+1) has degree n - ell - 1.
+        res = frobenius(PotentialModel.coulomb(-2), ell, mode(Fraction(-1, n * n)), ell, 30)
+        assert res.series.is_exact == (mode is Fraction)
+        _assert_degree(res.series, mode(Fraction(1, n)), 1, n - ell - 1)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("ell", range(4))
+    def test_oscillator_series_times_gaussian_is_a_polynomial(self, mode, n, ell):
+        # V = r^2, E = 4n + 2 ell + 3: u e^(r^2/2) / r^(ell+1) has degree 2n.
+        res = frobenius(PotentialModel(0, (0, 0, 1)), ell, mode(4 * n + 2 * ell + 3), ell, 30)
+        _assert_degree(res.series, mode(Fraction(1, 2)), 2, 2 * n)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("k2", [Fraction(1), Fraction(4), Fraction(1, 9)])
+    @pytest.mark.parametrize("ell", range(5))
+    @pytest.mark.parametrize("regular", [True, False], ids=["regular", "singular"])
+    def test_free_particle_coefficients(self, mode, k2, ell, regular):
+        # E = k^2: the regular root is the spherical Bessel j_ell, the singular one y_ell
+        # with its free parameter at 2 ell + 1 set to zero.
+        N = 30
+        root = ell if regular else -(ell + 1)
+        res = frobenius(PotentialModel.zero(), ell, mode(k2), root, N)
+        expected = [Fraction(0)] * (N + 1)
+        for m in range(N // 2 + 1):
+            if regular:
+                c = (-k2 / 2) ** m * _double_factorial(2 * ell + 1)
+                c /= factorial(m) * _double_factorial(2 * ell + 2 * m + 1)
+            else:
+                c = (-k2) ** m / (2**m * factorial(m) * prod(2 * i - 2 * ell - 1 for i in range(1, m + 1)))
+            expected[2 * m] = c
+        got = res.series.coeffs
+        if mode is Fraction:
+            assert got == tuple(expected)
+        else:
+            assert all(abs(g - float(e)) <= 1e-12 * abs(float(e)) for g, e in zip(got, expected))
+        report = None if regular else FreeParameterSetToZero(2 * ell + 1)
+        assert res.resonance_report == report
 
 
 class TestPotentialModel:
