@@ -177,6 +177,19 @@ def _within(number, least: int, most: int, text: str):
     return number
 
 
+def _nonnegative(number: float, text: str) -> float:
+    if number < 0:  # nan passes: it counts as exceeded at the gate
+        raise ValueError(f"must be nonnegative, got {text!r}")
+    return number
+
+
+def _coeffs(text: str, mode: str) -> tuple:
+    coeffs = tuple(_finite(p.strip(), mode) for p in text.split(",") if p.strip())
+    if coeffs and coeffs[0] == 0:
+        raise ValueError(f"leading coefficient must be nonzero, got {text!r}")
+    return coeffs
+
+
 def _choice(text: str, allowed: tuple) -> str:
     if text not in allowed:
         raise ValueError(f"must be {', '.join(allowed[:-1])} or {allowed[-1]}, got {text!r}")
@@ -195,10 +208,10 @@ _FIELDS = {
     "root": lambda text, mode: _choice(text, ("regular", "singular", "both")),
     "order": lambda text, mode: _within(_integer(text), 1, 1000, text),
     "hbar2_over_2m": _units,
-    "tol": lambda text, mode: _number(text, "float"),
+    "tol": lambda text, mode: _nonnegative(_number(text, "float"), text),
     "verify": lambda text, mode: _choice(text.lower(), _ON + _OFF) in _ON,
     "s": lambda text, mode: _within(_finite(text, mode) if mode == "float" else _integer(text), -200, 200, text),
-    "coeffs": lambda text, mode: tuple(_finite(p.strip(), mode) for p in text.split(",") if p.strip()),
+    "coeffs": _coeffs,
 }
 
 # The fields that a value flag can also set: --ell, ..., --hbar2-over-2m.

@@ -50,7 +50,6 @@ __all__ = [
     "laplacian",
     "radial_operator",
     "hamiltonian_apply",
-    "fold_y00",
     "delta_source",
 ]
 
@@ -101,7 +100,8 @@ def q_sl(pf: PseudoFunction) -> DeltaSum:
     if s is None:
         return DeltaSum.empty()
     # Only the a_k that can sit on a rung, k <= -s-ell-1 with k = ell-s-1
-    # (mod 2), are read; there p = (ell - s - 1 - k) / 2 >= ell.
+    # (mod 2), are read; there p = (ell - s - 1 - k) / 2 >= ell, one k per p.
+    # No weight is zero (nor is coeff_B or coeff_C): reversed, the terms are canonical.
     coeffs = pf.radial._head(-s - ell)
     terms = []
     for k in range((ell - s - 1) % 2, len(coeffs), 2):
@@ -113,7 +113,7 @@ def q_sl(pf: PseudoFunction) -> DeltaSum:
             raise ValueError(f"coefficient a_{k} = {a} on a singular rung has no exact weight")
         weight = Fraction(a) * coeff_B(ell, p) * coeff_C(p)
         terms.append(DeltaTerm(weight, ell, mu, p))
-    return DeltaSum.build(terms)
+    return DeltaSum(tuple(reversed(terms)))
 
 
 def laplacian_power(s, ell: int, mu: int) -> DistributionExpr:
@@ -156,33 +156,19 @@ def radial_operator(series: RadialSeries) -> DistributionExpr:
     return laplacian(PseudoFunction(series, AngularLabel(0, 0)))
 
 
-def fold_y00(delta: DeltaSum) -> DeltaSum:
-    """Fold the constant angular factor 1/sqrt(4*pi) into l = 0 terms.
-
-    Used when a bare radial result is reported for a state normalised with
-    the l = 0 harmonic: the delta corrections of R(r) and of
-    R(r) * Y_0^0 differ exactly by this constant.  Terms with ell >= 1
-    keep their symbolic harmonic factor and are returned unchanged.
-    """
-    return DeltaSum(
-        tuple(
-            DeltaTerm(t.coefficient * Y00, t.ell, t.mu, t.p) if t.ell == 0 else t
-            for t in delta.terms
-        )
-    )
-
-
 def delta_source(pf: PseudoFunction, units: PhysicalUnits) -> DeltaSum:
-    """The physical source  -(hbar^2/2m) * q_sl(pf), l = 0 normalisation folded in.
+    """The physical source  -(hbar^2/2m) * q_sl(pf), times Y_0^0 = 1/sqrt(4 pi) at l = 0.
 
     This is the delta part of H Pf for a series solving the radial
     equation, and the right-hand-side source a classified state carries.
+    Every term has the label's ell, so one factor scales the whole sum.
     An empty sum (every regular state) is returned as is.
     """
     q = q_sl(pf)
     if q.is_empty:
         return q
-    return fold_y00(q).scaled(ExactScalar.rational(-units.hbar2_over_2m))
+    factor = ExactScalar.rational(-units.hbar2_over_2m)
+    return q.scaled(factor * Y00 if pf.angular.ell == 0 else factor)
 
 
 def hamiltonian_apply(
@@ -195,10 +181,9 @@ def hamiltonian_apply(
     """Apply H = -(hbar^2/2m) lap + V to Pf, assuming the radial equation.
 
     When the series satisfies the radial recurrence at every stored order
-    the result is exactly  E * Pf  plus the delta part
-    -(hbar^2/2m) * q_sl(pf), with the l = 0 angular normalisation folded
-    into the source coefficients (so an l = 0 state with u(0) = a_0 in
-    natural units reports the source  2 sqrt(pi) a_0 delta).
+    the result is exactly  E * Pf  plus ``delta_source(pf, units)``, the
+    delta part -(hbar^2/2m) * q_sl(pf) times 1/sqrt(4 pi) at l = 0 (so an
+    l = 0 state with u(0) = a_0 in natural units reports 2 sqrt(pi) a_0 delta).
 
     If the recurrence fails, strict mode raises ``NotRadialSolution``;
     lenient mode (the default) returns the honest function-sense series,

@@ -31,8 +31,8 @@ Conventions
   with no angular factor at all.  For ell >= 1 it denotes
   coefficient * r^ell * Y_ell^mu * laplacian^p(delta)  with Y the real,
   unit-L2-normalised spherical harmonic.  Any constant angular factor an
-  l = 0 state carries is folded into the coefficient by the operations
-  that report physical source terms (see ``distlap.fold_y00``).
+  l = 0 state carries is folded into the coefficient by the operation
+  that reports physical source terms, ``distlap.delta_source``.
 
 All types are immutable and freely shareable across threads.
 """

@@ -405,6 +405,31 @@ class TestMain:
         cfg.write_text("s = -1\ncoeffs = 1\n")
         assert main(["verify", "--config", str(cfg), "--tol", "nan"]) == 3
 
+    @pytest.mark.parametrize("tol", ["-1", "-1e-300", "-inf"])
+    def test_negative_tolerance_exit_1(self, tmp_path, capsys, tol):
+        # Every residual would exceed it, so it is bad input, not a failed check.
+        assert main(["verify", f"--tol={tol}"]) == 1
+        assert capsys.readouterr() == ("", f"distpf: config error: field tol: must be nonnegative, got {tol!r}\n")
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text(f"tol = {tol}\n")
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"distpf: config error: field tol: must be nonnegative, got {tol!r}\n"
+
+    @pytest.mark.parametrize("tol, code", [("0", 3), ("-0.0", 3), ("inf", 0), ("nan", 3), ("1e-8", 0)])
+    def test_nonnegative_tolerance_is_a_gate(self, capsys, tol, code):
+        # The default grid's worst residual is about 4.5e-13: above 0, below 1e-8.
+        assert main(["verify", "--tol", tol]) == code
+        assert "max residual" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode, text", [("exact", "0, 1"), ("exact", "0/5"), ("float", "-0.0, 1"), ("float", "0e10")])
+    def test_zero_leading_coefficient_names_its_field_exit_1(self, tmp_path, capsys, mode, text):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(f"mode = {mode}\ns = -2\ncoeffs = {text}\n")
+        assert main(["laplacian", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == (
+            "", f"distpf: config error: field coeffs: leading coefficient must be nonzero, got {text!r}\n"
+        )
+
     def test_laplacian_verify_nan_coefficient_exit_3(self, tmp_path, capsys):
         # The config parser rejects a nan coefficient (exit 1); a spec built in
         # code still reaches the verification gate, which fails closed on NaN.

@@ -24,7 +24,6 @@ from distpf import (
     coeff_B,
     coeff_C,
     delta_source,
-    fold_y00,
     frobenius,
     from_u,
     hamiltonian_apply,
@@ -235,6 +234,35 @@ float_coeffs = st.one_of(
 )
 
 
+sparse_coeffs = st.one_of(
+    st.lists(st.one_of(st.just(0), st.just(0), exact_coeffs), min_size=1, max_size=24),
+    st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e300, 1e300, allow_nan=False)), min_size=1, max_size=24),
+)
+
+
+class TestQslAsBuilt:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.booleans(),
+        st.integers(min_value=0, max_value=8),
+        sparse_coeffs,
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_is_canonical_with_p_rising(self, ell, singular, depth, coeffs, mu):
+        # The rungs are written in one pass: already the merged, sorted sum that build returns.
+        exact = not isinstance(coeffs[0], float)
+        coeffs[0] = coeffs[0] or (1 if exact else 1.0)
+        s = indicial_roots(ell)[singular] - depth
+        pf = PseudoFunction(RadialSeries(s if exact else float(s), coeffs), AngularLabel(ell, mu % (2 * ell + 1) - ell))
+        q = q_sl(pf)
+        built = DeltaSum.build(q.terms)
+        assert q == built and repr(q) == repr(built)
+        assert all(t.key[:2] == (ell, pf.angular.mu) for t in q)
+        ps = [t.p for t in q]
+        assert ps == sorted(set(ps))
+
+
 class TestDeltaSumRungs:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -319,19 +347,6 @@ class TestRadialOperator:
         expr = radial_operator(RadialSeries.exact(-3, (1, 1, 1)))
         assert expr.delta_part.coefficient_at(0, 0, 1) == coeff_C(1)
         assert expr.delta_part.coefficient_at(0, 0, 0) == coeff_C(0)
-
-
-class TestFoldY00:
-    def test_folds_only_ell_zero(self):
-        ds = DeltaSum.build(
-            [
-                DeltaTerm(PI * (-4), 0, 0, 0),
-                DeltaTerm(PI * (-2), 1, 0, 1),
-            ]
-        )
-        folded = fold_y00(ds)
-        assert folded.coefficient_at(0, 0, 0) == ExactScalar.pi_term(-2, 1)  # -2 sqrt(pi)
-        assert folded.coefficient_at(1, 0, 1) == PI * (-2)
 
 
 @st.composite

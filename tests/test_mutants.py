@@ -1,0 +1,146 @@
+"""Mutation score of the oracle-side checks: each engine rule, broken on purpose, is caught.
+
+Every mutant replaces one name where the engine looks it up
+(``distlap.coeff_B``, not ``coeffs.coeff_B``) and names the check that
+kills it: the default ``distpf verify`` grid, a closed-form family of
+``tests/test_radial.py`` or an acceptance test.  None of these checks reads
+golden bytes.  A rule that lands in ``src/`` adds its mutant here.
+"""
+
+import contextlib
+import io
+from fractions import Fraction
+
+import pytest
+import test_acceptance
+import test_radial
+
+from distpf import cli, distlap, oracle, radial
+
+
+def verify_grid():
+    """The default ``distpf verify`` grid stays under its tolerance: exit 0, not 3."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify"])
+    if code not in (0, 3):  # bad input or a crash is not a verdict of the grid
+        raise RuntimeError(f"distpf verify exited {code}")
+    assert code == 0
+
+
+def hydrogen_family():
+    """TestClosedFormFamilies: hydrogen's regular series times e^(r/n), n <= 6, both modes."""
+    case = test_radial.TestClosedFormFamilies()
+    for mode in (Fraction, float):
+        for n in range(1, 7):
+            for ell in range(n):
+                case.test_hydrogen_series_times_decay_is_a_polynomial(mode, n, ell)
+
+
+def oscillator_family():
+    """TestClosedFormFamilies: the oscillator's regular series times e^(r^2/2), both modes."""
+    case = test_radial.TestClosedFormFamilies()
+    for mode in (Fraction, float):
+        for n in range(5):
+            for ell in range(4):
+                case.test_oscillator_series_times_gaussian_is_a_polynomial(mode, n, ell)
+
+
+def acceptance_08():
+    """Acceptance test 8: the free particle's singular l = 0 state sources 2 sqrt(pi) u(0) delta."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        test_acceptance.test_08_free_particle_singular_source()
+
+
+KILLERS = [verify_grid, hydrogen_family, oscillator_family, acceptance_08]
+
+
+def _wrap(module, name, make):
+    """(module, name, replacement) with the replacement built around the current value."""
+    return module, name, make(getattr(module, name))
+
+
+def _mutant(name, patch, killer, *marks):
+    assert killer in KILLERS
+    return pytest.param(patch, killer, id=name, marks=marks)
+
+
+# Each replacement is built at import, around the engine's own value, so it
+# never wraps another mutant.
+MUTANTS = [
+    _mutant(
+        "coeff_B doubled at ell = 1",
+        _wrap(distlap, "coeff_B", lambda B: lambda ell, p: B(ell, p) * (2 if ell == 1 else 1)),
+        verify_grid,
+    ),
+    _mutant(
+        "coeff_C sign flipped for p >= 1",
+        _wrap(distlap, "coeff_C", lambda C: lambda p: -C(p) if p >= 1 else C(p)),
+        verify_grid,
+    ),
+    _mutant(
+        "coeff_C doubled for p >= 3",
+        _wrap(distlap, "coeff_C", lambda C: lambda p: C(p) * (2 if p >= 3 else 1)),
+        verify_grid,
+    ),
+    _mutant(
+        "no integral exponent, so no delta rung",
+        (distlap, "_integral_exponent", lambda s: None),
+        verify_grid,
+    ),
+    _mutant(
+        "Y00 doubled",
+        _wrap(distlap, "Y00", lambda Y00: Y00 * 2),
+        acceptance_08,
+    ),
+    _mutant(
+        "indicial table D(m) shifted to D(m + 1)",
+        _wrap(radial, "_indicials", lambda D: lambda n, s, ell: D(n + 1, s, ell)[1:]),
+        verify_grid,
+    ),
+    _mutant(
+        "lag weight v_(-1) with its sign flipped",
+        _wrap(radial, "_lag_weights", lambda w: lambda vm1, v, E: w(-vm1, v, E)),
+        hydrogen_family,
+    ),
+    _mutant(
+        "lag weight of E with its sign flipped",
+        _wrap(radial, "_lag_weights", lambda w: lambda vm1, v, E: w(vm1, v, -E)),
+        hydrogen_family,
+    ),
+    _mutant(
+        "lag weights v_j, j >= 1, doubled",
+        _wrap(radial, "_lag_weights", lambda w: lambda vm1, v, E: w(vm1, [*v[:1], *(2 * x for x in v[1:])], E)),
+        oscillator_family,
+    ),
+    _mutant(
+        "coeff_B doubled for ell >= 2",
+        _wrap(distlap, "coeff_B", lambda B: lambda ell, p: B(ell, p) * (2 if ell >= 2 else 1)),
+        verify_grid,
+        pytest.mark.xfail(strict=True, reason="the grid pairs no l >= 2 delta channel to a nonzero value (ROADMAP item 2)"),
+    ),
+]
+
+
+@contextlib.contextmanager
+def _fresh_laplacians():
+    # The oracle caches the engine's decomposition per pseudofunction: a clean
+    # entry would hide a mutant, and a mutant's entry would outlive it.
+    oracle._laplacian.cache_clear()
+    try:
+        yield
+    finally:
+        oracle._laplacian.cache_clear()
+
+
+@pytest.mark.parametrize("patch, killer", MUTANTS)
+def test_mutant_is_killed(monkeypatch, patch, killer):
+    with _fresh_laplacians(), monkeypatch.context() as mutated:
+        mutated.setattr(*patch)
+        with pytest.raises(AssertionError):
+            killer()
+
+
+@pytest.mark.parametrize("killer", KILLERS, ids=lambda f: f.__name__)
+def test_killer_passes_on_the_engine(killer):
+    with _fresh_laplacians():
+        killer()
