@@ -19,8 +19,6 @@ from distpf import (
     coeff_C,
     coeff_L,
     laplacian,
-    laplacian_power,
-    radial_operator,
 )
 
 # The universal weights.  C_p multiplies lap^p(delta); note C_0 = -4*pi,
@@ -38,7 +36,7 @@ def delta_text(term):
 # exactly at the odd negative exponents, with increasing iteration order.
 print("\nlap(r^s) across the exponent ladder:")
 for s in range(1, -7, -1):
-    expr = laplacian_power(s, 0, 0)
+    expr = laplacian(PseudoFunction(RadialSeries.exact(s, (1,)), AngularLabel(0, 0)))
     pf = expr.pf_part.radial
     fn_part = "0" if pf.is_zero else f"({pf.coeffs[0]}) r^{pf.s}"
     deltas = ", ".join(delta_text(t) for t in expr.delta_part) or "-"
@@ -56,18 +54,18 @@ print("  function part:", " + ".join(
 for t in expr.delta_part:
     print(f"  delta part  : {delta_text(t)}")
 
-# The radial operator (1/r) d^2/dr^2 r on u(r)/r picks up -4*pi*u(0)*delta
-# whenever u(0) != 0 -- the identity that makes the reduced radial
-# equation subtle at the origin.
+# At ell = 0 the Laplacian is the radial operator (1/r) d^2/dr^2 r; on u(r)/r
+# it picks up -4*pi*u(0)*delta whenever u(0) != 0 -- the identity that
+# makes the reduced radial equation subtle at the origin.
 u0 = Fraction(3, 2)
 series = RadialSeries.exact(-1, (u0, 1, Fraction(1, 2)))  # u = 3/2 + r + r^2/2
-expr = radial_operator(series)
+expr = laplacian(PseudoFunction(series, AngularLabel(0, 0)))
 print(f"\n(1/r) d^2/dr^2 r applied to u/r with u(0) = {u0}:")
 for t in expr.delta_part:
     print(f"  point source: ({t.coefficient}) delta   [= -4*pi*u(0)]")
 
 # With an angular factor the corrections carry the solid harmonic along:
 # r^-2 Y_1^mu sources a first-order term proportional to r Y_1^mu lap(delta).
-expr = laplacian_power(-2, 1, 1)
+expr = laplacian(PseudoFunction(RadialSeries.exact(-2, (1,)), AngularLabel(1, 1)))
 for t in expr.delta_part:
     print(f"\nlap(r^-2 Y_1^1) delta part: ({t.coefficient}) r Y[1,1] lap^{t.p}(delta)")

@@ -184,7 +184,10 @@ def _nonnegative(number: float, text: str) -> float:
 
 
 def _coeffs(text: str, mode: str) -> tuple:
-    coeffs = tuple(_finite(p.strip(), mode) for p in text.split(",") if p.strip())
+    parts = [p.strip() for p in text.split(",")] if text.strip() else []
+    if "" in parts:  # dropping it would move every later coefficient down one power
+        raise ValueError(f"empty entry, got {text!r}")
+    coeffs = tuple(_finite(p, mode) for p in parts)
     if coeffs and coeffs[0] == 0:
         raise ValueError(f"leading coefficient must be nonzero, got {text!r}")
     return coeffs

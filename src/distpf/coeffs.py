@@ -152,10 +152,6 @@ class ExactScalar(_Record):
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_single_term(self) -> bool:
-        return len(self.terms) == 1
-
     def as_single_term(self) -> tuple[int, Fraction]:
         if len(self.terms) != 1:
             raise ValueError(f"not a single-term scalar: {self}")

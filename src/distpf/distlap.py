@@ -13,12 +13,12 @@ a_k contributes a term at iteration order p exactly when
 
 weighted by a_k * coeff_B(ell, p) * coeff_C(p).  A rung with p < ell
 would carry r^ell Y_ell^mu lap^p(delta), the zero distribution (see
-``pseudofunction.DeltaTerm``), so it is not one.  ``q_s`` collects those
-corrections for a bare radial series, ``q_sl`` for a labelled
-pseudofunction; ``laplacian`` and ``radial_operator`` return the full
-decomposition (function-sense part plus delta sum), and
-``hamiltonian_apply`` assembles  H Pf = E Pf - (hbar^2/2m) * corrections
-for a series solving the radial eigenvalue problem.
+``pseudofunction.DeltaTerm``), so it is not one.  ``q_sl`` collects those
+corrections for a labelled pseudofunction (a bare radial series is the
+label (0, 0)); ``laplacian`` returns the full decomposition
+(function-sense part plus delta sum), and ``hamiltonian_apply`` assembles
+H Pf = E Pf - (hbar^2/2m) * corrections for a series solving the radial
+eigenvalue problem.
 
 Everything here is pure; batch sweeps over (s, ell, series) can run in
 parallel without coordination.
@@ -33,7 +33,6 @@ from operator import mul
 from . import radial
 from .coeffs import ExactScalar, coeff_B, coeff_C
 from .pseudofunction import (
-    AngularLabel,
     DeltaSum,
     DeltaTerm,
     DistributionExpr,
@@ -44,11 +43,8 @@ from .radial import PhysicalUnits, PotentialModel
 
 __all__ = [
     "NotRadialSolution",
-    "laplacian_power",
-    "q_s",
     "q_sl",
     "laplacian",
-    "radial_operator",
     "hamiltonian_apply",
     "delta_source",
 ]
@@ -76,24 +72,14 @@ def _integral_exponent(s):
     return None
 
 
-def q_s(series: RadialSeries) -> DeltaSum:
-    """Delta corrections picked up by the radial operator on a bare series.
-
-    Empty whenever s >= 0; for s = -1 it is the single point source
-    a_0 * coeff_C(0) * delta.  Terms whose index k has the same parity as
-    s never contribute (their iteration order would be half-integral).
-    """
-    return q_sl(PseudoFunction(series, AngularLabel(0, 0)))
-
-
 def q_sl(pf: PseudoFunction) -> DeltaSum:
     """Delta corrections of the full Laplacian on a labelled pseudofunction.
 
-    Coincides with ``q_s`` termwise when ell = 0 (the angular correction
-    factor is 1 there).  Nonempty iff some a_k != 0 sits on a singular
-    rung k + s - ell = -2p - 1 with integer p >= ell; a non-integral s has
-    none.  A float a_k is lifted to its exact binary rational, so the
-    weights stay exact; a non-finite one on a rung raises ``ValueError``.
+    Nonempty iff some a_k != 0 sits on a singular rung k + s - ell =
+    -2p - 1 with integer p >= ell; a non-integral s has none.  At ell = 0
+    (angular factor 1) s = -1 gives the point source a_0 * coeff_C(0) delta.
+    A float a_k is lifted to its exact binary rational, so the weights
+    stay exact; a non-finite one on a rung raises ``ValueError``.
     """
     ell, mu = pf.angular.ell, pf.angular.mu
     s = _integral_exponent(pf.radial.s)
@@ -116,17 +102,6 @@ def q_sl(pf: PseudoFunction) -> DeltaSum:
     return DeltaSum(tuple(reversed(terms)))
 
 
-def laplacian_power(s, ell: int, mu: int) -> DistributionExpr:
-    """Distributional Laplacian of the single power r^s * Y_ell^mu.
-
-    The function-sense part is [s(s+1) - ell(ell+1)] r^(s-2) Y_ell^mu; a
-    delta term coeff_B * coeff_C * r^ell Y_ell^mu lap^p(delta) appears
-    exactly when p = -(s+1-ell)/2 is an integer with p >= ell.
-    """
-    one = 1.0 if isinstance(s, float) else 1
-    return laplacian(PseudoFunction(RadialSeries(s, (one,)), AngularLabel(ell, mu)))
-
-
 def laplacian(pf: PseudoFunction) -> DistributionExpr:
     """Distributional Laplacian of a pseudofunction, termwise plus corrections.
 
@@ -143,17 +118,6 @@ def laplacian(pf: PseudoFunction) -> DistributionExpr:
                 raise ValueError(f"float Laplacian is not finite at order {k} (coefficient {b})")
     pf_part = PseudoFunction(RadialSeries.make(s - 2, out), label)
     return DistributionExpr(pf_part, q_sl(pf))
-
-
-def radial_operator(series: RadialSeries) -> DistributionExpr:
-    """The operator (1/r) d^2/dr^2 r applied distributionally to Pf.series.
-
-    The function-sense part is sum_k (s+k)(s+k+1) a_k r^(s+k-2); the delta
-    part is ``q_s``.  For a series u(r)/r with u(0) = a_0 != 0 this yields
-    the second derivative of u over r together with the point source
-    coeff_C(0) * a_0 * delta.
-    """
-    return laplacian(PseudoFunction(series, AngularLabel(0, 0)))
 
 
 def delta_source(pf: PseudoFunction, units: PhysicalUnits) -> DeltaSum:

@@ -41,7 +41,7 @@ Conventions: an ell = 0 pseudofunction is paired as the bare radial
 function (angular factor 1, contributing the full 4*pi sphere moment), and
 an ell = 0 delta term as the bare iterated delta.  Labels with ell >= 1
 use the real solid harmonic with unit-L2 normalisation, generated for any
-ell by ``solid_harmonic`` from one closed-form rule.
+ell by ``_solid_harmonic`` from one closed-form rule.
 """
 
 from __future__ import annotations
@@ -64,15 +64,13 @@ __all__ = [
     "pair_pseudofunction",
     "pair_delta",
     "verify_laplacian_identity",
-    "scalar_to_float",
-    "solid_harmonic",
 ]
 
 # Euler-Mascheroni constant, written to well beyond float precision.
 EULER_GAMMA = 0.577215664901532860606512090082402431042159335939923598805767
 
 
-def scalar_to_float(x: ExactScalar) -> float:
+def _scalar_to_float(x: ExactScalar) -> float:
     """Numeric value of an exact scalar sum q * pi^(h/2)."""
     return sum(float(q) * math.pi ** (h / 2) for h, q in x.terms)
 
@@ -290,7 +288,7 @@ def _closed_form(m: int, a: Fraction) -> float:
 
 
 @lru_cache(maxsize=None)
-def solid_harmonic(ell: int, mu: int) -> tuple[Fraction | None, dict]:
+def _solid_harmonic(ell: int, mu: int) -> tuple[Fraction | None, dict]:
     """(q, core) with the harmonic factor sqrt(q/pi) * core; ell = 0 -> (None, 1).
 
     The core is the primitive integer polynomial Pi(z, r^2) * Re (x + iy)^m
@@ -343,10 +341,10 @@ def _sphere_terms(ell: int, mu: int, phi: TestFunction) -> tuple:
     float(c) * float(moment)).
     """
     out = []
-    for (a, b, c), coef in _poly_mul(solid_harmonic(ell, mu)[1], phi.poly).items():
+    for (a, b, c), coef in _poly_mul(_solid_harmonic(ell, mu)[1], phi.poly).items():
         moment = angular_moment(a, b, c)
         if not moment.is_zero:
-            weight = float(coef) * scalar_to_float(moment)
+            weight = float(coef) * _scalar_to_float(moment)
             out.append((a + b + c, coef, moment.as_single_term()[1], weight))
     return tuple(out)
 
@@ -381,7 +379,7 @@ def pair_pseudofunction(pf: PseudoFunction, phi: TestFunction) -> float:
                 radial_factors[power] = finite_part_integral(power, phi.alpha)
             contrib += weight * radial_factors[power]
         total += float(a) * contrib
-    return total * _harmonic_scale(solid_harmonic(ell, mu)[0])
+    return total * _harmonic_scale(_solid_harmonic(ell, mu)[0])
 
 
 def pair_delta(term: DeltaTerm, phi: TestFunction) -> float:
@@ -406,7 +404,7 @@ def pair_delta(term: DeltaTerm, phi: TestFunction) -> float:
         if j >= 0:
             sphere += coef * (-alpha) ** j / math.factorial(j) * moment
     exact = term.coefficient * (Fraction(math.factorial(2 * p + 1), 4) * sphere)
-    return scalar_to_float(exact) * _harmonic_scale(solid_harmonic(term.ell, term.mu)[0])
+    return _scalar_to_float(exact) * _harmonic_scale(_solid_harmonic(term.ell, term.mu)[0])
 
 
 @lru_cache(maxsize=64)

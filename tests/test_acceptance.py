@@ -37,9 +37,7 @@ from distpf import (
     pair_delta,
     pair_pseudofunction,
     q_nonvanishing,
-    q_s,
     q_sl,
-    radial_operator,
     testfn_laplacian,
     verify_laplacian_identity,
 )
@@ -97,7 +95,7 @@ def test_03_regular_exponent_produces_no_corrections():
             rng.randint(-4, 4) for _ in range(rng.randint(0, 6))
         ]
         series = RadialSeries.exact(ell, coeffs)
-        assert q_s(series).is_empty
+        assert q_sl(PseudoFunction(series, AngularLabel(0, 0))).is_empty
         assert q_sl(PseudoFunction(series, AngularLabel(ell, rng.randint(-ell, ell)))).is_empty
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -112,7 +110,9 @@ def test_04_parity_rule():
             rng.randint(-4, 4) for _ in range(rng.randint(0, 7))
         ]
         series = RadialSeries.exact(s, coeffs)
-        contributing = {-2 * t.p - 1 - s for t in q_s(series)}
+        contributing = {
+            -2 * t.p - 1 - s for t in q_sl(PseudoFunction(series, AngularLabel(0, 0)))
+        }
         for k in contributing:
             assert (k + s) % 2 == 1  # only indices of opposite parity to s
         # and every same-parity index is absent even when its coefficient is nonzero
@@ -134,7 +134,7 @@ def test_06_point_source_of_u_over_r():
     for _ in range(50):
         a0 = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
         coeffs = [a0] + [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(0, 6))]
-        expr = radial_operator(RadialSeries.exact(-1, coeffs))
+        expr = laplacian(PseudoFunction(RadialSeries.exact(-1, coeffs), AngularLabel(0, 0)))
         assert expr.delta_part == DeltaSum.build([DeltaTerm(a0 * coeff_C(0), 0, 0, 0)])
         expected_pf = RadialSeries.make(-3, [k * (k - 1) * a for k, a in enumerate(coeffs)])
         assert expr.pf_part.radial == expected_pf

@@ -421,14 +421,25 @@ class TestMain:
         assert main(["verify", "--tol", tol]) == code
         assert "max residual" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("mode, text", [("exact", "0, 1"), ("exact", "0/5"), ("float", "-0.0, 1"), ("float", "0e10")])
-    def test_zero_leading_coefficient_names_its_field_exit_1(self, tmp_path, capsys, mode, text):
+    @pytest.mark.parametrize(
+        "mode, text, reason",
+        [
+            ("exact", "0, 1", "leading coefficient must be nonzero"),
+            ("exact", "0/5", "leading coefficient must be nonzero"),
+            ("float", "-0.0, 1", "leading coefficient must be nonzero"),
+            ("float", "0e10", "leading coefficient must be nonzero"),
+            # Skipping the entry would read 1,,2 as (1, 2): the 2 would move from r^(s+2) to r^(s+1).
+            ("exact", "1,,2", "empty entry"),
+            ("exact", ",1", "empty entry"),
+            ("exact", "1,", "empty entry"),
+            ("float", "1, ,2", "empty entry"),
+        ],
+    )
+    def test_bad_coeffs_list_names_its_field_exit_1(self, tmp_path, capsys, mode, text, reason):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(f"mode = {mode}\ns = -2\ncoeffs = {text}\n")
         assert main(["laplacian", "--config", str(cfg)]) == 1
-        assert capsys.readouterr() == (
-            "", f"distpf: config error: field coeffs: leading coefficient must be nonzero, got {text!r}\n"
-        )
+        assert capsys.readouterr() == ("", f"distpf: config error: field coeffs: {reason}, got {text!r}\n")
 
     def test_laplacian_verify_nan_coefficient_exit_3(self, tmp_path, capsys):
         # The config parser rejects a nan coefficient (exit 1); a spec built in

@@ -105,7 +105,7 @@ class TestCoefficientC:
             expected = Fraction(-(4 * p + 1), 1) * Fraction(4, 2**p)
             expected /= factorial(p) * dfact(2 * p + 1)
             got = coeff_C(p)
-            assert got.is_single_term
+            assert len(got.terms) == 1
             h, q = got.as_single_term()
             assert h == 2 and q == expected
 

@@ -29,10 +29,7 @@ from distpf import (
     hamiltonian_apply,
     indicial_roots,
     laplacian,
-    laplacian_power,
-    q_s,
     q_sl,
-    radial_operator,
     radial_residuals,
 )
 
@@ -64,32 +61,32 @@ def pf_of(s, coeffs, ell=0, mu=0):
     return PseudoFunction(RadialSeries.exact(s, coeffs), AngularLabel(ell, mu))
 
 
-class TestLaplacianPower:
+class TestSinglePower:
     def test_inverse_r_is_pure_point_source(self):
-        expr = laplacian_power(-1, 0, 0)
+        expr = laplacian(pf_of(-1, (1,)))
         assert expr.pf_part.is_zero
         assert expr.delta_part.coefficient_at(0, 0, 0) == coeff_C(0)
         assert expr.delta_part.coefficient_at(0, 0, 0) == PI * (-4)
 
     def test_r_squared(self):
-        expr = laplacian_power(2, 0, 0)
+        expr = laplacian(pf_of(2, (1,)))
         assert (expr.pf_part.radial.s, expr.pf_part.radial.coeffs) == (0, (6,))
         assert expr.delta_part.is_empty
 
     def test_r_minus_3(self):
-        expr = laplacian_power(-3, 0, 0)
+        expr = laplacian(pf_of(-3, (1,)))
         assert (expr.pf_part.radial.s, expr.pf_part.radial.coeffs) == (-5, (6,))
         assert expr.delta_part.coefficient_at(0, 0, 1) == PI * Fraction(-10, 3)
         assert len(expr.delta_part) == 1
 
     def test_harmonic_power_annihilated(self):
         for ell in range(5):
-            expr = laplacian_power(ell, ell, ell)
+            expr = laplacian(pf_of(ell, (1,), ell, ell))
             assert expr.pf_part.is_zero and expr.delta_part.is_empty
 
     def test_angular_weight(self):
         # single power at the singular exponent for ell = 1
-        expr = laplacian_power(-2, 1, 1)
+        expr = laplacian(pf_of(-2, (1,), 1, 1))
         assert expr.delta_part.coefficient_at(1, 1, 1) == coeff_B(1, 1) * coeff_C(1)
         assert expr.delta_part.coefficient_at(1, 1, 1) == PI * (-2)
 
@@ -101,25 +98,25 @@ class TestLaplacianPower:
             assert (expr.pf_part.radial.s, expr.pf_part.radial.coeffs) == (-3, (-6,))
 
     def test_float_nonintegral_exponent_has_no_delta(self):
-        expr = laplacian_power(-1.5, 0, 0)
+        expr = laplacian(PseudoFunction(RadialSeries(-1.5, (1.0,)), AngularLabel(0, 0)))
         assert expr.delta_part.is_empty
         assert expr.pf_part.radial.coeffs == pytest.approx((0.75,))
 
 
-class TestQs:
+class TestQslEllZero:
     def test_nonnegative_exponent_empty(self, rng):
         for ell in range(7):
             for _ in range(30):
                 coeffs = [rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 6))]
-                assert q_s(RadialSeries.exact(ell, coeffs)).is_empty
+                assert q_sl(pf_of(ell, coeffs)).is_empty
 
     def test_inverse_r_single_term(self):
-        ds = q_s(RadialSeries.exact(-1, (Fraction(5),)))
+        ds = q_sl(pf_of(-1, (Fraction(5),)))
         assert len(ds) == 1
         assert ds.coefficient_at(0, 0, 0) == 5 * coeff_C(0)
 
     def test_s_minus_3_parity_kills_middle(self):
-        ds = q_s(RadialSeries.exact(-3, (2, 7, 3)))
+        ds = q_sl(pf_of(-3, (2, 7, 3)))
         assert len(ds) == 2
         assert ds.coefficient_at(0, 0, 1) == 2 * coeff_C(1)
         assert ds.coefficient_at(0, 0, 0) == 3 * coeff_C(0)
@@ -128,10 +125,8 @@ class TestQs:
         # reconstruct k = -2p - 1 - s from each stored term
         for _ in range(200):
             s = rng.randint(-8, -1)
-            series = RadialSeries.exact(
-                s, [rng.choice([-2, -1, 1, 2])] + [rng.randint(-2, 2) for _ in range(5)]
-            )
-            for t in q_s(series):
+            coeffs = [rng.choice([-2, -1, 1, 2])] + [rng.randint(-2, 2) for _ in range(5)]
+            for t in q_sl(pf_of(s, coeffs)):
                 k = -2 * t.p - 1 - s
                 assert (k + s) % 2 == 1
                 assert 0 <= k <= -s - 1
@@ -142,12 +137,11 @@ class TestQs:
                 coeffs = [rng.choice([-2, -1, 1, 2])] + [
                     rng.choice([0, 0, 0, 1, -1]) for _ in range(rng.randint(0, 6))
                 ]
-                series = RadialSeries.exact(s, coeffs)
                 occupied = any(
                     a != 0 and (k + s) % 2 == 1 and k + s <= -1
                     for k, a in enumerate(coeffs)
                 )
-                assert (not q_s(series).is_empty) == occupied
+                assert (not q_sl(pf_of(s, coeffs)).is_empty) == occupied
 
     def test_two_consecutive_nonzero_coefficients(self, rng):
         # a nonzero adjacent pair inside the singular range forces a term
@@ -159,24 +153,17 @@ class TestQs:
             coeffs[k0 + 1] = rng.choice([1, 2, -1])
             if coeffs[0] == 0:
                 coeffs[0] = 1
-            assert not q_s(RadialSeries.exact(s, coeffs)).is_empty
+            assert not q_sl(pf_of(s, coeffs)).is_empty
 
     def test_float_series_nonintegral_exponent_empty(self):
-        assert q_s(RadialSeries(-1.5, (1.0, 2.0))).is_empty
+        assert q_sl(PseudoFunction(RadialSeries(-1.5, (1.0, 2.0)), AngularLabel(0, 0))).is_empty
 
     def test_float_series_integral_exponent_lifts_exactly(self):
-        ds = q_s(RadialSeries(-1.0, (2.0,)))
+        ds = q_sl(PseudoFunction(RadialSeries(-1.0, (2.0,)), AngularLabel(0, 0)))
         assert ds.coefficient_at(0, 0, 0) == 2 * coeff_C(0)
 
 
 class TestQsl:
-    def test_ell_zero_matches_q_s_termwise(self, rng):
-        for _ in range(100):
-            s = rng.randint(-6, 2)
-            coeffs = [rng.choice([-2,-1,1,2])] + [rng.randint(-3, 3) for _ in range(4)]
-            series = RadialSeries.exact(s, coeffs)
-            assert q_sl(PseudoFunction(series, AngularLabel(0, 0))) == q_s(series)
-
     def test_s_minus2_ell1(self):
         ds = q_sl(pf_of(-2, (1, 1), ell=1, mu=0))
         assert len(ds) == 1
@@ -325,12 +312,12 @@ class TestLaplacian:
         assert expr.pf_part.radial.order == pf.radial.order
 
 
-class TestRadialOperator:
+class TestEllZeroLaplacian:
     def test_point_source_of_u_over_r(self, rng):
         for _ in range(50):
             a0 = rng.choice([1, 2, 3, -1, -2])
             coeffs = [a0] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 5))]
-            expr = radial_operator(RadialSeries.exact(-1, coeffs))
+            expr = laplacian(pf_of(-1, coeffs))
             assert expr.delta_part == DeltaSum.build(
                 [DeltaTerm(a0 * coeff_C(0), 0, 0, 0)]
             )
@@ -339,12 +326,12 @@ class TestRadialOperator:
             assert expr.pf_part.radial == expected
 
     def test_smooth_power(self):
-        expr = radial_operator(RadialSeries.exact(2, (1,)))
+        expr = laplacian(pf_of(2, (1,)))
         assert (expr.pf_part.radial.s, expr.pf_part.radial.coeffs) == (0, (6,))
         assert expr.delta_part.is_empty
 
     def test_s_minus_3_delta_terms(self):
-        expr = radial_operator(RadialSeries.exact(-3, (1, 1, 1)))
+        expr = laplacian(pf_of(-3, (1, 1, 1)))
         assert expr.delta_part.coefficient_at(0, 0, 1) == coeff_C(1)
         assert expr.delta_part.coefficient_at(0, 0, 0) == coeff_C(0)
 

@@ -1,10 +1,11 @@
 """Mutation score of the oracle-side checks: each engine rule, broken on purpose, is caught.
 
 Every mutant replaces one name where the engine looks it up
-(``distlap.coeff_B``, not ``coeffs.coeff_B``) and names the check that
-kills it: the default ``distpf verify`` grid, a closed-form family of
-``tests/test_radial.py`` or an acceptance test.  None of these checks reads
-golden bytes.  A rule that lands in ``src/`` adds its mutant here.
+(``distlap.coeff_B``, not ``coeffs.coeff_B``; a property on its class)
+and names the check that kills it: the default ``distpf verify`` grid, a
+closed-form family of ``tests/test_radial.py`` or an acceptance test.
+None of these checks reads golden bytes.  A rule that lands in ``src/``
+adds its mutant here.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ import pytest
 import test_acceptance
 import test_radial
 
-from distpf import cli, distlap, oracle, radial
+from distpf import classify, cli, distlap, oracle, radial
 
 
 def verify_grid():
@@ -51,12 +52,28 @@ def acceptance_08():
         test_acceptance.test_08_free_particle_singular_source()
 
 
-KILLERS = [verify_grid, hydrogen_family, oscillator_family, acceptance_08]
+def acceptance_12():
+    """Acceptance test 12: for l = 0 the plain equation holds exactly when u(0) = 0."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        test_acceptance.test_12_boundary_condition_is_membership()
+
+
+KILLERS = [verify_grid, hydrogen_family, oscillator_family, acceptance_08, acceptance_12]
 
 
 def _wrap(module, name, make):
     """(module, name, replacement) with the replacement built around the current value."""
     return module, name, make(getattr(module, name))
+
+
+def _reads_a1(u_at_origin):
+    """``Verdict.u_at_origin`` reading a_1 where it reads a_0."""
+
+    def mutated(verdict):
+        u0 = u_at_origin.fget(verdict)
+        return u0 if u0 is None or verdict.u_series.s != 0 else verdict.u_series._head(2)[1]
+
+    return property(mutated)
 
 
 def _mutant(name, patch, killer, *marks):
@@ -111,6 +128,16 @@ MUTANTS = [
         "lag weights v_j, j >= 1, doubled",
         _wrap(radial, "_lag_weights", lambda w: lambda vm1, v, E: w(vm1, [*v[:1], *(2 * x for x in v[1:])], E)),
         oscillator_family,
+    ),
+    _mutant(
+        "from_u shifts the exponent down two steps, not one",
+        _wrap(classify, "from_u", lambda f: lambda u, angular: f(u._with_exponent(u.s - 1), angular)),
+        acceptance_08,
+    ),
+    _mutant(
+        "u(0) read from a_1, not a_0",
+        _wrap(classify.Verdict, "u_at_origin", _reads_a1),
+        acceptance_12,
     ),
     _mutant(
         "coeff_B doubled for ell >= 2",

@@ -22,14 +22,18 @@ from distpf import (
     laplacian,
     pair_delta,
     pair_pseudofunction,
-    scalar_to_float,
-    solid_harmonic,
     testfn_laplacian,
     verify_laplacian_identity,
 )
 from distpf import oracle
 from distpf.cli import main
-from distpf.oracle import _harmonic_scale, _poly_laplacian, _poly_mul
+from distpf.oracle import (
+    _harmonic_scale,
+    _poly_laplacian,
+    _poly_mul,
+    _scalar_to_float,
+    _solid_harmonic,
+)
 
 PI = math.pi
 
@@ -243,7 +247,7 @@ def _sphere_inner(p1, p2):
 class TestSolidHarmonics:
     @pytest.mark.parametrize("label", sorted(REFERENCE_HARMONICS))
     def test_reproduces_reference_table(self, label):
-        q, core = solid_harmonic(*label)
+        q, core = _solid_harmonic(*label)
         ref_q, ref_core = REFERENCE_HARMONICS[label]
         assert q == ref_q
         assert core == ref_core
@@ -251,33 +255,33 @@ class TestSolidHarmonics:
 
     def test_cores_are_harmonic_and_homogeneous(self):
         for ell, mu in LABELS:
-            core = solid_harmonic(ell, mu)[1]
+            core = _solid_harmonic(ell, mu)[1]
             assert not _poly_laplacian(core)
             assert {sum(mono) for mono in core} == {ell}
 
     def test_unit_norm_exact(self):
         for ell, mu in LABELS:
-            q, core = solid_harmonic(ell, mu)
+            q, core = _solid_harmonic(ell, mu)
             # (q/pi) * integral of core^2 over the sphere must be 1
             assert _sphere_inner(core, core) == ExactScalar.rational(1 / q)
 
     def test_pairwise_orthogonal_exact(self):
         for i, k1 in enumerate(LABELS):
             for k2 in LABELS[i + 1 :]:
-                core1, core2 = solid_harmonic(*k1)[1], solid_harmonic(*k2)[1]
+                core1, core2 = _solid_harmonic(*k1)[1], _solid_harmonic(*k2)[1]
                 assert _sphere_inner(core1, core2).is_zero, (k1, k2)
 
     def test_ell_zero_is_bare_constant(self):
-        q, core = solid_harmonic(0, 0)
+        q, core = _solid_harmonic(0, 0)
         assert q is None and core == {(0, 0, 0): 1}
 
     @pytest.mark.parametrize("ell, mu", [(0, 1), (2, -3), (-1, 0)])
     def test_label_out_of_range(self, ell, mu):
         with pytest.raises(ValueError):
-            solid_harmonic(ell, mu)
+            _solid_harmonic(ell, mu)
 
     def test_ell_five_is_generated(self):
-        q, core = solid_harmonic(5, 0)
+        q, core = _solid_harmonic(5, 0)
         assert q == Fraction(11, 256)
         assert core == {
             (0, 0, 5): 8, (2, 0, 3): -40, (0, 2, 3): -40, (4, 0, 1): 15, (2, 2, 1): 30, (0, 4, 1): 15
@@ -311,7 +315,7 @@ class TestPairings:
 
     def test_ell_five_pairs_against_its_own_core(self):
         # <r^s Y, core e^{-alpha r^2}> = sqrt(pi/q) F(s + ell + 2, alpha)
-        q, core = solid_harmonic(5, 0)
+        q, core = _solid_harmonic(5, 0)
         phi = TestFunction.from_poly(core, 1)
         assert pair_pseudofunction(pf_of(-6, (1,), ell=5, mu=0), phi) == pytest.approx(
             math.sqrt(PI / q) * finite_part_integral(1, 1), rel=1e-14
@@ -320,12 +324,12 @@ class TestPairings:
 
 def _pair_delta_iterated(term, phi):
     """pair_delta by p iterated Laplacians inside the test-function class."""
-    q, core = solid_harmonic(term.ell, term.mu)
+    q, core = _solid_harmonic(term.ell, term.mu)
     probe = TestFunction.from_poly(_poly_mul(core, phi.poly), phi.alpha)
     for _ in range(term.p):
         probe = testfn_laplacian(probe)
     exact = term.coefficient * probe.value_at_origin()
-    return scalar_to_float(exact) * _harmonic_scale(q)
+    return _scalar_to_float(exact) * _harmonic_scale(q)
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=9)
@@ -343,7 +347,7 @@ def delta_pairings(draw):
     if draw(st.booleans()):
         # Monomials with the parity of the harmonic core make core * P even
         # in x, y and z, so that the pairing is rarely zero.
-        parity = [e % 2 for e in next(iter(solid_harmonic(ell, mu)[1]))]
+        parity = [e % 2 for e in next(iter(_solid_harmonic(ell, mu)[1]))]
         exponents = exponents.map(lambda mono: tuple(e - e % 2 + q for e, q in zip(mono, parity)))
     monomials = exponents.filter(lambda mono: sum(mono) <= 4)
     poly = draw(st.dictionaries(monomials, rationals, min_size=1, max_size=4))
@@ -383,7 +387,7 @@ class TestPairDelta:
 
     def test_ell_five_pairs_against_its_own_core(self):
         # lap^5(core^2)(0) = 11!/(4 pi) * pi/q, by Pizzetti's formula
-        q, core = solid_harmonic(5, 0)
+        q, core = _solid_harmonic(5, 0)
         phi = TestFunction.from_poly(core, 1)
         term = DeltaTerm(ExactScalar.one(), 5, 0, 5)
         value = pair_delta(term, phi)
@@ -411,7 +415,7 @@ class TestPairDelta:
 
 def _pair_pseudofunction_reference(pf, phi):
     """pair_pseudofunction as one loop over core * P per call, with no cache."""
-    q, core = solid_harmonic(pf.angular.ell, pf.angular.mu)
+    q, core = _solid_harmonic(pf.angular.ell, pf.angular.mu)
     prod = _poly_mul(core, phi.poly)
     radial_factors = {}
     total = 0.0
@@ -427,21 +431,21 @@ def _pair_pseudofunction_reference(pf, phi):
             power = base + ax + ay + az
             if power not in radial_factors:
                 radial_factors[power] = finite_part_integral(power, phi.alpha)
-            contrib += float(c) * scalar_to_float(mom) * radial_factors[power]
+            contrib += float(c) * _scalar_to_float(mom) * radial_factors[power]
         total += float(a) * contrib
     return total * _harmonic_scale(q)
 
 
 def _pair_delta_reference(term, phi):
     """pair_delta as one loop over core * P per call, with no cache."""
-    q, core = solid_harmonic(term.ell, term.mu)
+    q, core = _solid_harmonic(term.ell, term.mu)
     sphere = Fraction(0)
     for (a, b, c), coef in _poly_mul(core, phi.poly).items():
         j = term.p - (a + b + c) // 2
         if j >= 0 and (moment := angular_moment(a, b, c)):
             sphere += coef * (-phi.alpha) ** j / math.factorial(j) * moment.as_single_term()[1]
     exact = term.coefficient * (Fraction(math.factorial(2 * term.p + 1), 4) * sphere)
-    return scalar_to_float(exact) * _harmonic_scale(q)
+    return _scalar_to_float(exact) * _harmonic_scale(q)
 
 
 @st.composite
@@ -487,7 +491,7 @@ class TestPairingCaches:
         monkeypatch.setattr(oracle, name, counting)
 
     def test_verify_grid_work_counts(self, monkeypatch, capsys):
-        for cached in (oracle._laplacian, oracle._sphere_terms, solid_harmonic):
+        for cached in (oracle._laplacian, oracle._sphere_terms, _solid_harmonic):
             cached.cache_clear()
         calls = []
         self._count_calls(monkeypatch, "laplacian", calls)
@@ -557,7 +561,7 @@ class TestLaplacianIdentity:
         # A delta term r^ell Y lap^p delta pairs to zero unless p >= ell and
         # phi has a Y component; s = -ell - 1 puts a_0 on the rung p = ell.
         for mu in sorted({-ell, -1, 0, 1, ell - 1}):
-            core = solid_harmonic(ell, mu)[1]
+            core = _solid_harmonic(ell, mu)[1]
             poly = _poly_mul(core, {(0, 0, 0): 1, (2, 0, 0): Fraction(1, 3), (0, 1, 1): -1})
             phi = TestFunction.from_poly(poly, Fraction(1, 2))
             for s in (-2 * ell - 1, -2 * ell - 2, -ell - 1):

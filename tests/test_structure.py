@@ -1,6 +1,7 @@
 """Module structure of distpf: an acyclic import graph, imports at top level only,
-stdlib only, ``dataclasses`` in ``classify`` only, no private name left unread, and a
-package namespace that is the union of the module ``__all__`` lists."""
+stdlib only, ``dataclasses`` in ``classify`` only, no private name left unread, no
+public name that nothing needs, and a package namespace that is the union of the
+module ``__all__`` lists."""
 
 import ast
 import graphlib
@@ -10,7 +11,8 @@ import sys
 
 import distpf
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "distpf"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "distpf"
 
 
 def _trees() -> dict:
@@ -107,17 +109,69 @@ def test_no_unused_imports():
     assert found == []
 
 
+def _read_names(tree, by_text=False) -> set:
+    """Every name a module reads, bare or as an attribute; with ``by_text``
+    also every name it spells as a string, as ``perfbench``'s tracer does
+    to wrap a function where its callers find it."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif by_text and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def _annotation_names(tree) -> set:
+    """Every name inside an annotation of a module, quoted or not."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= _annotation_names(ast.parse(f"x: {node.value}"))
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+    return names
+
+
+# Public names that no program path reads, each with the reason it stays.
+NEEDED_UNREAD = {
+    "q_nonvanishing": "acceptance test 11 specifies the predicate",
+}
+
+
+def test_every_public_name_is_needed():
+    """Each name in ``distpf.__all__`` is read outside its own module (in the
+    package, ``demos/`` or ``perfbench/``), names a type in an annotation of
+    its own module, or is exempt above; a test alone does not keep it."""
+    trees = _trees()
+    outside = set().union(
+        *(_read_names(ast.parse(path.read_text())) for path in (ROOT / "demos").glob("*.py")),
+        *(_read_names(ast.parse(path.read_text()), True) for path in (ROOT / "perfbench").glob("*.py")),
+    )
+    found = []
+    for name in sorted(trees.keys() - {"__init__", "cli"}):
+        read = outside.union(*(_read_names(tree) for other, tree in trees.items() if other != name))
+        annotated = _annotation_names(trees[name])
+        for public in importlib.import_module(f"distpf.{name}").__all__:
+            if public not in read and public not in annotated and public not in NEEDED_UNREAD:
+                found.append(f"{name}.{public}")
+    assert found == []
+
+
 def test_every_private_name_is_read_in_src():
     """Every module-level ``_name`` is read somewhere in the package, so a
     helper goes when its last caller goes; a test alone does not keep it."""
     trees = _trees()
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    read = set().union(*map(_read_names, trees.values()))
     found = []
     for name, tree in trees.items():
         for node in tree.body:
