@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import is_, mul
 
 from . import radial
 from .coeffs import ExactScalar, coeff_B, coeff_C
@@ -154,7 +155,8 @@ def hamiltonian_apply(
     which carries the residual on top of E * Pf at the shifted exponent.
     """
     resid = radial.radial_residuals(V, pf.angular.ell, E, units, pf.radial)
-    bad = [m for m, r in enumerate(resid) if r]
+    # Every vanishing exact row is radial's one shared zero: test them by identity, in C.
+    bad = [] if all(map(is_, resid, repeat(radial._ZERO))) else [m for m, r in enumerate(resid) if r]
     if bad and strict:
         # A caller that keeps the exception keeps this frame through its
         # traceback, until the cycle collector runs: leave no rows in it.

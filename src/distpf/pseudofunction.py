@@ -42,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import attrgetter, mul, neg
 
 from .coeffs import ExactScalar, _Record
 
@@ -187,9 +187,16 @@ class RadialSeries(_Record):
             return RadialSeries(self.s, tuple(map(mul, self.coeffs, repeat(factor))))
         # One small gcd, of den and p: the product stays over the common
         # denominator den/g * q, with no gcd over the full-width numerators.
+        # A unit p/g shares the numerators (1) or negates them (-1).
         p, q = factor.numerator, factor.denominator
         g = gcd(self._den, p)
-        nums = tuple(map(mul, self._nums, repeat(p // g)))
+        p //= g
+        if p == 1:
+            nums = self._nums
+        elif p == -1:
+            nums = tuple(map(neg, self._nums))
+        else:
+            nums = tuple(map(mul, self._nums, repeat(p)))
         return object.__new__(RadialSeries)._set(self.s, nums, self._den // g * q, True)
 
 

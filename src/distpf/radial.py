@@ -25,17 +25,22 @@ the coefficients before it, newest first, ending at a_0 or the last lag
 from the first term in float mode.  Exact rows run in integers
 (fraction-free, as in Bareiss, Math. Comp. 22, 1968): Q is the product
 of the row factors K D(k) with D(k) != 0, a_0 is kept as Q, and each
-later a_k as n_k = a_k Q, found by one exact division of its row sum.
-A singular root runs its rows up to the resonance over the head product
-of those factors only, so an obstruction stops before Q is built; then
-the numerators are multiplied once by the remaining factors.  The series
+later a_k as n_k = a_k Q, found by one exact division of its row sum by
+K D(k).  Q is formed as K**c * P, with c the count and P the product of
+the nonzero D(k); ``_products`` caches (c, P) keyed on the D table itself
+(never on (n, s, ell) alone, so a table that differs, a patched one
+included, never reads another table's product).  A singular root runs
+its rows up to the resonance over the head product of those factors
+only, so an obstruction stops before Q is built; then the numerators are
+multiplied once by the tail product, cached beside the head.  The series
 stores the numerators over Q and reduces no coefficient until one is
 read (see ``pseudofunction``).  ``radial_residuals`` sums exact rows over the
 series' own denominator, again without a ``Fraction`` per coefficient,
-and sums its rows lag by lag: the kinetic term of every row first, then
-each lag weight added to all rows at once.  That is the order of the
-row-at-a-time sum (kinetic term, lag 1, lag 2, ...), so float rows round
-exactly as it would.
+and returns one shared zero for every vanishing row (all of them at once
+when no integer row is nonzero).  It sums its rows lag by lag: the
+kinetic term of every row first, then each lag weight added to all rows
+at once.  That is the order of the row-at-a-time sum (kinetic term,
+lag 1, lag 2, ...), so float rows round exactly as it would.
 
 The problem data live here too: ``PotentialModel`` for V(r) and
 ``PhysicalUnits`` for kappa.
@@ -167,6 +172,18 @@ def _indicials(n: int, s, ell: int) -> tuple:
     return tuple([(m + s + 1) * (m + s) - c for m in range(n)])
 
 
+@lru_cache(maxsize=256)
+def _products(D: tuple, r: int) -> tuple:
+    """((c, P), (c', P')): how many D(k) != 0 there are and their product, for k <= r and k > r.
+
+    Keyed on the table itself, not on (n, s, ell): a table that differs
+    (a patched ``_indicials``) gets its own entry.
+    """
+    head = [x for x in D[: r + 1] if x]
+    tail = [x for x in D[r + 1 :] if x]
+    return (len(head), prod(head)), (len(tail), prod(tail))
+
+
 def _lag_weights(v_minus1, v, E) -> tuple:
     """(v_(-1), v_0 - E, v_1, v_2, ...): the weights of a_(m-1), a_(m-2), ... in row m."""
     return (v_minus1, (v[0] if v else 0) - E, *v[1:])
@@ -204,13 +221,13 @@ def frobenius(
     exact = V.is_exact and not isinstance(E, float)
     D = _indicials(N + 1, root, ell)
     if exact:
-        # n_k = a_k Q, Q = f_1 ... f_N with f_k = K D(k) (1 where D(k) = 0): row k,
-        # f_k n_k = sum_d w_d n_(k-d), divides exactly, as f_1 ... f_k clears a_k.
-        # A singular root runs rows 1 .. r = 2 ell + 1 over f_1 ... f_r first.
-        K, w, _ = _integer_row(_lag_weights(V.v_minus1, V.v, Fraction(E)), units.hbar2_over_2m)
-        f = [K * x or 1 for x in D]
+        # n_k = a_k Q, Q the product of the factors K D(k) with D(k) != 0: row k,
+        # K D(k) n_k = sum_d w_d n_(k-d), divides exactly, as the factors up to k clear a_k.
+        # A singular root runs rows 1 .. r = 2 ell + 1 over the head product first.
+        K, w, _ = _integer_row(_lag_weights(V.v_minus1, V.v, E), units.hbar2_over_2m)
         r = min(2 * ell + 1, N) if root < 0 else N
-        a = [prod(f[: r + 1])]
+        (c, P), tail = _products(D, r)
+        a = [K**c * P]
     else:
         kappa = units.to_float()
         w = _lag_weights(float(V.v_minus1) / kappa, [float(x) / kappa for x in V.v], float(E) / kappa)
@@ -219,8 +236,9 @@ def frobenius(
     resonance = None
     for k in range(1, N + 1):
         if k == r + 1:
-            tail = prod(f[k:])
-            a = [x * tail for x in a]
+            c, P = tail
+            rest = K**c * P
+            a = [x * rest for x in a]
         # Row k: w[0] a_(k-1) + w[1] a_(k-2) + ..., cut off after a_0 or the last lag.
         if exact:
             rhs = sum(map(mul, w, reversed(a)))
@@ -232,7 +250,7 @@ def frobenius(
             if not isfinite(rhs):
                 raise ValueError(f"float recurrence is not finite at order {k} (row value {rhs})")
         if D[k]:
-            a.append(rhs // f[k] if exact else rhs / D[k])
+            a.append(rhs // (K * D[k]) if exact else rhs / D[k])
         elif rhs != 0:  # D(k) = 0: a nonzero row needs a logarithm, else a_k is set to 0
             raise LogObstruction(k)
         else:
@@ -273,6 +291,8 @@ def radial_residuals(
         for d, cd in enumerate(c, 1):
             if cd:
                 rows[d:] = map(add, rows[d:], map(mul, repeat(cd), n))
+        if not any(rows):
+            return [_ZERO] * len(rows)
         LM = L * M
         return [Fraction(x, LM) if x else _ZERO for x in rows]
     units.to_float()  # the float range check only: the rows below keep kappa exact

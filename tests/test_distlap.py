@@ -471,6 +471,31 @@ class TestHamiltonianApply:
 
         assert built(160) - built(80) == 0
 
+    @pytest.mark.parametrize("k", [1, 3, 6, 9, 12])
+    def test_strict_apply_names_the_rows_a_corrupted_numerator_feeds(self, k):
+        # Lag weights (v_-1, v_0 - E, v_1, v_2) = (-2/3, 5/6, 0, 2/5): lag 3 is zero.
+        V = PotentialModel(Fraction(-2, 3), (Fraction(1, 3), 0, Fraction(2, 5)))
+        E, units, ell, N = Fraction(-1, 2), PhysicalUnits(Fraction(3, 2)), 1, 12
+        u = frobenius(V, ell, E, ell, N, units).series
+        nums = list(u._nums)
+        nums[k] += 1
+        pf = from_u(RadialSeries._over(u.s, nums, u._den), AngularLabel(ell, 0))
+        fed = sorted(m for m in (k, k + 1, k + 2, k + 4) if m <= N)
+        with pytest.raises(NotRadialSolution) as err:
+            hamiltonian_apply(pf, V, E, units, strict=True)
+        assert err.value.orders == tuple(fed)
+        # The same rows in plain Fraction arithmetic, each reduced.
+        a, s, kappa = pf.radial.coeffs, pf.radial.s, units.hbar2_over_2m
+        w = (V.v_minus1, V.v[0] - E, *V.v[1:])
+        expected = [
+            -kappa * ((m + s + 1) * (m + s) - ell * (ell + 1)) * a[m]
+            + sum((w[d - 1] * a[m - d] for d in range(1, min(len(w), m) + 1)), Fraction(0))
+            for m in range(N + 1)
+        ]
+        rows = radial_residuals(V, ell, E, units, pf.radial)
+        assert rows == expected and all(type(r) is Fraction for r in rows)
+        assert [m for m, r in enumerate(rows) if r] == fed
+
     DEEP_STATES = [
         (PotentialModel(-2, (Fraction(3, 10), Fraction(7, 10))), 1, 1),
         (PotentialModel(0, (Fraction(3, 10), 0, Fraction(7, 10))), 1, -2),  # through the resonance

@@ -1,6 +1,7 @@
 """Value-type invariants: series, labels, delta terms and sums."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +183,24 @@ class TestRadialSeriesNormalisation:
             return
         expected = RadialSeries(-2, tuple(a * factor for a in series.coeffs))
         assert got == expected and _typed(got.coeffs) == _typed(expected.coeffs)
+
+
+    # Over the denominator 60, factors whose reduced numerator p // gcd(60, p) is +1, -1 or neither.
+    @pytest.mark.parametrize(
+        "factor",
+        [Fraction(1, 7), Fraction(4, 9), 12, 60, Fraction(-1, 3), Fraction(-6, 5), -60, Fraction(8, 7), -7, Fraction(9, 2)],
+    )
+    def test_scaled_by_a_unit_numerator_matches_the_general_product(self, factor):
+        series = RadialSeries._over(-2, [6, -4, 0, 45, 1], 60)
+        got = series.scaled(factor)
+        p = factor.numerator // gcd(60, factor.numerator)
+        general = object.__new__(RadialSeries)._set(
+            -2, tuple(x * p for x in series._nums), 60 // gcd(60, factor.numerator) * factor.denominator, True
+        )
+        assert got._stored(got) == general._stored(general)
+        assert repr(got) == repr(general) and hash(got) == hash(general)
+        expected = RadialSeries(-2, tuple(a * factor for a in series.coeffs))
+        assert got == expected and repr(got) == repr(expected) and hash(got) == hash(expected)
 
 
 class TestAngularLabel:

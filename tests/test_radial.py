@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import factorial, inf, isfinite, nan, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +24,8 @@ from distpf import (
     normalizable_at_origin,
     radial_residuals,
 )
-from distpf.radial import _indicials, _integer_row
+from distpf import radial
+from distpf.radial import _indicials, _integer_row, _lag_weights
 
 
 class TestIndicialRoots:
@@ -455,6 +457,70 @@ class TestIntegerRecurrence:
             for d in range(1, min(len(w), m) + 1):
                 row = row + w[d - 1] * a[m - d]
             assert repr(r) == repr(row)
+
+
+def row_factor_layout(V, ell, E, root, N, kappa):
+    """(_den, _nums) by the row factors f_k = K D(k) or 1 and Q = prod(f); None if obstructed.
+
+    The table is read through the module, so a patched ``_indicials`` shows here too.
+    """
+    K, w, _ = _integer_row(_lag_weights(V.v_minus1, V.v, Fraction(E)), Fraction(kappa))
+    D = radial._indicials(N + 1, root, ell)
+    f = [K * x or 1 for x in D]
+    r = min(2 * ell + 1, N) if root < 0 else N
+    a = [prod(f[: r + 1])]
+    for k in range(1, N + 1):
+        if k == r + 1:
+            tail = prod(f[k:])
+            a = [x * tail for x in a]
+        rhs = sum(map(mul, w, reversed(a)))
+        if D[k]:
+            a.append(rhs // f[k])
+        elif rhs:
+            return None
+        else:
+            a.append(0)
+    sign = -1 if a[0] < 0 else 1
+    return a[0] * sign, tuple(x * sign for x in a)
+
+
+class TestCachedRowProducts:
+    """Q = K**c times the cached product of the nonzero D(k) stores what prod(K D(k) or 1) stored."""
+
+    POTENTIALS = [
+        PotentialModel(Fraction(-2, 3), (Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7))),
+        PotentialModel(0, (Fraction(1, 3), 0, Fraction(-2, 5))),  # even: singular roots pass the resonance
+    ]
+
+    @pytest.mark.parametrize("kappa", [Fraction(1), Fraction(1, 2), Fraction(2)])
+    @pytest.mark.parametrize("ell", range(5))
+    def test_stored_layout_matches_row_factor_product(self, ell, kappa):
+        E = Fraction(-3, 4)
+        for V in self.POTENTIALS:
+            K, _, _ = _integer_row(_lag_weights(V.v_minus1, V.v, E), kappa)
+            assert K > 1
+            for root in indicial_roots(ell):
+                for N in sorted({1, 2 * ell, 2 * ell + 1, 2 * ell + 2, 60} - {0}):
+                    expected = row_factor_layout(V, ell, E, root, N, kappa)
+                    if expected is None:
+                        with pytest.raises(LogObstruction):
+                            frobenius(V, ell, E, root, N, PhysicalUnits(kappa))
+                        continue
+                    series = frobenius(V, ell, E, root, N, PhysicalUnits(kappa)).series
+                    assert (series._den, series._nums) == expected
+
+    def test_patched_table_leaves_no_product_behind(self, monkeypatch):
+        # The D-shift mutant of tests/test_mutants.py: under it the products come
+        # from the patched table, and once it is undone no product of it is read.
+        V, E, units = self.POTENTIALS[0], Fraction(-3, 4), PhysicalUnits(Fraction(1, 2))
+        before = frobenius(V, 1, E, 1, 30, units).series
+        with monkeypatch.context() as patched:
+            patched.setattr(radial, "_indicials", lambda n, s, ell, D=radial._indicials: D(n + 1, s, ell)[1:])
+            shifted = frobenius(V, 1, E, 1, 30, units).series
+            assert (shifted._den, shifted._nums) == row_factor_layout(V, 1, E, 1, 30, Fraction(1, 2))
+        assert shifted != before
+        after = frobenius(V, 1, E, 1, 30, units).series
+        assert after._stored(after) == before._stored(before)
 
 
 @st.composite
