@@ -109,15 +109,12 @@ class RadialSeries(_Record):
         return self
 
     @classmethod
-    def _over(cls, s: int, nums: list, den: int) -> "RadialSeries":
-        """The exact series r^s * sum_k nums[k] r^k / den; nums[0] and den nonzero.
+    def _over(cls, s: int, nums, den: int) -> "RadialSeries":
+        """The exact series r^s * sum_k nums[k] r^k / den; nums[0] nonzero, den > 0.
 
-        ``nums`` and ``den`` are kept as given, with no gcd taken: only a
-        negative ``den`` (a ``frobenius`` factor K D(k) < 0 below the
-        resonance of a singular root) moves its sign onto the numerators.
+        The one constructor of an exact series from stored numerators:
+        ``nums`` and ``den`` are kept as given, with no gcd taken.
         """
-        if den < 0:
-            nums, den = [-n for n in nums], -den
         return object.__new__(cls)._set(s, tuple(nums), den, True)
 
     def _with_exponent(self, s) -> "RadialSeries":
@@ -197,7 +194,7 @@ class RadialSeries(_Record):
             nums = tuple(map(neg, self._nums))
         else:
             nums = tuple(map(mul, self._nums, repeat(p)))
-        return object.__new__(RadialSeries)._set(self.s, nums, self._den // g * q, True)
+        return RadialSeries._over(self.s, nums, self._den // g * q)
 
 
 class AngularLabel(_Record):
@@ -301,7 +298,7 @@ class DeltaSum(_Record):
         return DeltaSum.build(self.terms + other.terms)
 
     def scaled(self, factor) -> "DeltaSum":
-        if factor == 0 or (isinstance(factor, ExactScalar) and factor.is_zero):
+        if not factor:
             return DeltaSum()
         return DeltaSum(
             tuple(

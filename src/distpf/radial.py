@@ -23,21 +23,19 @@ row loop, and each row is one C-level pass over the lag weights against
 the coefficients before it, newest first, ending at a_0 or the last lag
 (no zero padding): an integer ``sum`` in exact mode, a left-to-right fold
 from the first term in float mode.  Exact rows run in integers
-(fraction-free, as in Bareiss, Math. Comp. 22, 1968): Q is the product
-of the row factors K D(k) with D(k) != 0, a_0 is kept as Q, and each
-later a_k as n_k = a_k Q, found by one exact division of its row sum by
-K D(k).  Q is formed as K**c * P, with c the count and P the product of
-the nonzero D(k); ``_products`` caches (c, P) keyed on the D table itself
-(never on (n, s, ell) alone, so a table that differs, a patched one
-included, never reads another table's product).  A singular root runs
-its rows up to the resonance over the head product of those factors
-only, so an obstruction stops before Q is built; then the numerators are
-multiplied once by the tail product, cached beside the head.  The series
-stores the numerators over Q and reduces no coefficient until one is
-read (see ``pseudofunction``).  ``radial_residuals`` sums exact rows over the
-series' own denominator, again without a ``Fraction`` per coefficient,
-and returns one shared zero for every vanishing row (all of them at once
-when no integer row is nonzero).  It sums its rows lag by lag: the
+(fraction-free, as in Bareiss, Math. Comp. 22, 1968): Q > 0 is the
+absolute product of the row factors K D(k) with D(k) != 0, a_0 is kept
+as Q, and each later a_k as n_k = a_k Q, found by one exact division of
+its row sum by K D(k).  Q is K**c * |P|, with c the count and P the
+product of the nonzero D(k), and K > 0 since kappa > 0; ``_product``
+caches (c, |P|) keyed on the D table itself (never on (n, s, ell) alone,
+so a table that differs, a patched one included, never reads another
+table's product).  The series stores the numerators over Q and reduces
+no coefficient until one is read (see ``pseudofunction``).
+``radial_residuals`` sums exact rows over the series' own denominator,
+again without a ``Fraction`` per coefficient, and returns one shared zero
+for every vanishing row (all of them at once when no integer row is
+nonzero).  It sums its rows lag by lag: the
 kinetic term of every row first, then each lag weight added to all rows
 at once.  That is the order of the row-at-a-time sum (kinetic term,
 lag 1, lag 2, ...), so float rows round exactly as it would.
@@ -173,15 +171,14 @@ def _indicials(n: int, s, ell: int) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _products(D: tuple, r: int) -> tuple:
-    """((c, P), (c', P')): how many D(k) != 0 there are and their product, for k <= r and k > r.
+def _product(D: tuple) -> tuple:
+    """(c, |P|): how many D(k) != 0 there are and the absolute value of their product.
 
     Keyed on the table itself, not on (n, s, ell): a table that differs
     (a patched ``_indicials``) gets its own entry.
     """
-    head = [x for x in D[: r + 1] if x]
-    tail = [x for x in D[r + 1 :] if x]
-    return (len(head), prod(head)), (len(tail), prod(tail))
+    nonzero = [x for x in D if x]
+    return len(nonzero), abs(prod(nonzero))
 
 
 def _lag_weights(v_minus1, v, E) -> tuple:
@@ -221,24 +218,17 @@ def frobenius(
     exact = V.is_exact and not isinstance(E, float)
     D = _indicials(N + 1, root, ell)
     if exact:
-        # n_k = a_k Q, Q the product of the factors K D(k) with D(k) != 0: row k,
-        # K D(k) n_k = sum_d w_d n_(k-d), divides exactly, as the factors up to k clear a_k.
-        # A singular root runs rows 1 .. r = 2 ell + 1 over the head product first.
+        # n_k = a_k Q, Q > 0 the absolute product of the factors K D(k) with D(k) != 0:
+        # row k, K D(k) n_k = sum_d w_d n_(k-d), divides exactly, as the factors up to k clear a_k.
         K, w, _ = _integer_row(_lag_weights(V.v_minus1, V.v, E), units.hbar2_over_2m)
-        r = min(2 * ell + 1, N) if root < 0 else N
-        (c, P), tail = _products(D, r)
+        c, P = _product(D)
         a = [K**c * P]
     else:
         kappa = units.to_float()
         w = _lag_weights(float(V.v_minus1) / kappa, [float(x) / kappa for x in V.v], float(E) / kappa)
-        r = N  # no rescale: float rows run over a_0 = 1
         a = [1.0]
     resonance = None
     for k in range(1, N + 1):
-        if k == r + 1:
-            c, P = tail
-            rest = K**c * P
-            a = [x * rest for x in a]
         # Row k: w[0] a_(k-1) + w[1] a_(k-2) + ..., cut off after a_0 or the last lag.
         if exact:
             rhs = sum(map(mul, w, reversed(a)))

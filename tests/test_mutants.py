@@ -115,6 +115,11 @@ MUTANTS = [
         verify_grid,
     ),
     _mutant(
+        "Q from the factors up to the table's last zero only, never rescaled",
+        _wrap(radial, "_product", lambda P: lambda D: P(D[: max(k for k, x in enumerate(D) if not x) + 1])),
+        hydrogen_family,
+    ),
+    _mutant(
         "lag weight v_(-1) with its sign flipped",
         _wrap(radial, "_lag_weights", lambda w: lambda vm1, v, E: w(-vm1, v, E)),
         hydrogen_family,

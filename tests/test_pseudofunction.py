@@ -283,6 +283,11 @@ class TestDeltaTypes:
         assert ds.scaled(Fraction(1, 3)).coefficient_at(0, 0, 0) == ExactScalar.one()
         assert ds.scaled(0).is_empty
 
+    @pytest.mark.parametrize("zero", [0, Fraction(0), -0.0, ExactScalar.zero()], ids=repr)
+    def test_scaled_by_any_zero_is_the_empty_sum(self, zero):
+        ds = DeltaSum.build([DeltaTerm(ExactScalar.rational(3), 0, 0, 0), DeltaTerm(ExactScalar.one(), 1, 0, 1)])
+        assert ds.scaled(zero) == DeltaSum.empty()
+
 
 def test_pseudofunction_zero():
     pf = PseudoFunction(RadialSeries.zero(), AngularLabel(2, 1))

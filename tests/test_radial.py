@@ -460,9 +460,12 @@ class TestIntegerRecurrence:
 
 
 def row_factor_layout(V, ell, E, root, N, kappa):
-    """(_den, _nums) by the row factors f_k = K D(k) or 1 and Q = prod(f); None if obstructed.
+    """(_den, _nums) by the row factors f_k = K D(k) or 1 and Q = |prod(f)|; None if obstructed.
 
-    The table is read through the module, so a patched ``_indicials`` shows here too.
+    Built as a split product: a singular root runs its rows up to the
+    resonance over the factors up to it, then rescales by the rest, and a
+    negative Q moves its sign onto the numerators at the end.  The table is
+    read through the module, so a patched ``_indicials`` shows here too.
     """
     K, w, _ = _integer_row(_lag_weights(V.v_minus1, V.v, Fraction(E)), Fraction(kappa))
     D = radial._indicials(N + 1, root, ell)
@@ -485,7 +488,7 @@ def row_factor_layout(V, ell, E, root, N, kappa):
 
 
 class TestCachedRowProducts:
-    """Q = K**c times the cached product of the nonzero D(k) stores what prod(K D(k) or 1) stored."""
+    """Q = K**c times the cached |product| of the nonzero D(k) stores what |prod(K D(k) or 1)| stored."""
 
     POTENTIALS = [
         PotentialModel(Fraction(-2, 3), (Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7))),
@@ -500,13 +503,16 @@ class TestCachedRowProducts:
             K, _, _ = _integer_row(_lag_weights(V.v_minus1, V.v, E), kappa)
             assert K > 1
             for root in indicial_roots(ell):
-                for N in sorted({1, 2 * ell, 2 * ell + 1, 2 * ell + 2, 60} - {0}):
+                # Every N up to past the resonance: below it each odd count of
+                # negative D(k) makes the signed product of the factors negative.
+                for N in [*range(1, 2 * ell + 3), 60]:
                     expected = row_factor_layout(V, ell, E, root, N, kappa)
                     if expected is None:
                         with pytest.raises(LogObstruction):
                             frobenius(V, ell, E, root, N, PhysicalUnits(kappa))
                         continue
                     series = frobenius(V, ell, E, root, N, PhysicalUnits(kappa)).series
+                    assert series._den > 0
                     assert (series._den, series._nums) == expected
 
     def test_patched_table_leaves_no_product_behind(self, monkeypatch):
