@@ -37,7 +37,7 @@ for m in range(3, -6, -1):
 print(f"      (F(-1,1) = -gamma/2 = {-EULER_GAMMA / 2:.10f})")
 
 # The classic identity in pairing form: <1/r, lap(phi)> = -4*pi*phi(0).
-phi = TestFunction.from_poly({(0, 0, 0): Fraction(2), (2, 0, 0): 1}, Fraction(1, 2))
+phi = TestFunction({(0, 0, 0): Fraction(2), (2, 0, 0): 1}, Fraction(1, 2))
 pf = PseudoFunction(RadialSeries.exact(-1, (1,)), AngularLabel(0, 0))
 lhs = pair_pseudofunction(pf, testfn_laplacian(phi))
 print(f"\n<1/r, lap(phi)> = {lhs:.12f}")
@@ -61,7 +61,7 @@ for s in range(-6, 3):
                 poly[mono] = poly.get(mono, Fraction(0)) + rng.randint(-2, 2)
             worst = max(
                 worst,
-                verify_laplacian_identity(pf, TestFunction.from_poly(poly, alpha)),
+                verify_laplacian_identity(pf, TestFunction(poly, alpha)),
             )
             count += 1
 print(f"\npairing identity over {count} randomized cases: worst residual {worst:.2e}")

@@ -155,12 +155,13 @@ def _finite(text: str, mode: str):
 
 
 def _units(text: str, mode: str) -> PhysicalUnits:
-    units = PhysicalUnits(_number(text, "exact"))
-    if mode == "float":
-        try:
+    number = _number(text, "exact")
+    try:
+        units = PhysicalUnits(number)
+        if mode == "float":
             units.to_float()
-        except ValueError as exc:
-            raise ValueError(f"{exc}, got {text!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{exc}, got {text!r}") from None
     return units
 
 
@@ -430,7 +431,7 @@ def _residual_grid(cases, tol: float):
     rows = []
     polys = [{(0, 0, 0): 1}, {(0, 0, 0): 1, (1, 0, 0): 1}, {(2, 0, 0): 1, (0, 1, 1): -2, (0, 0, 0): 3}]
     phis = [
-        (alpha, i, TestFunction.from_poly(poly, alpha))  # the test function holds Fractions
+        (alpha, i, TestFunction(poly, alpha))  # the test function holds Fractions
         for alpha in ("1/2", "1", "2")
         for i, poly in enumerate(polys)
     ]
@@ -626,8 +627,7 @@ def main(argv=None) -> int:
             code, report, doc = run(command, spec)
         if json_path:  # written first: a reader that closes stdout early still gets it
             with open(json_path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+                fh.write(json.dumps(doc, indent=2) + "\n")
     except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         prefix = "config error: " if isinstance(exc, ConfigError) else ""
         print(f"distpf: {prefix}{exc}", file=sys.stderr)

@@ -142,10 +142,6 @@ class ExactScalar(_Record):
     def zero() -> "ExactScalar":
         return ExactScalar()
 
-    @staticmethod
-    def one() -> "ExactScalar":
-        return ExactScalar.rational(1)
-
     # -- inspection ----------------------------------------------------
 
     @property

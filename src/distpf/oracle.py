@@ -116,7 +116,8 @@ def _poly_laplacian(p: dict) -> dict:
 class TestFunction(_Record):
     """P(x, y, z) * exp(-alpha r^2) with rational polynomial and width.
 
-    ``terms`` is a canonical tuple of ((a, b, c), coefficient) pairs.  The
+    Built from a mapping {(a, b, c): coefficient} or from its pairs; stored
+    ``terms`` is the canonical tuple of those pairs, zeros dropped.  The
     class is closed under the Laplacian, so arbitrarily many derivatives
     stay inside the semi-analytic pairing algebra.
     """
@@ -125,7 +126,7 @@ class TestFunction(_Record):
 
     _fields = ("terms", "alpha")
 
-    def __init__(self, terms: tuple, alpha: Fraction):
+    def __init__(self, terms: dict | tuple, alpha: Fraction):
         alpha = Fraction(alpha)
         if alpha <= 0:
             raise ValueError("Gaussian width alpha must be positive")
@@ -138,24 +139,9 @@ class TestFunction(_Record):
     def __hash__(self) -> int:
         return self._hash
 
-    @staticmethod
-    def from_poly(poly: dict, alpha) -> "TestFunction":
-        return TestFunction(tuple(poly.items()), alpha)
-
-    @staticmethod
-    def gaussian(alpha) -> "TestFunction":
-        return TestFunction((((0, 0, 0), Fraction(1)),), alpha)
-
     @property
     def poly(self) -> dict:
         return dict(self.terms)
-
-    def value_at_origin(self) -> Fraction:
-        """phi(0), i.e. the constant-monomial coefficient."""
-        for mono, c in self.terms:
-            if mono == (0, 0, 0):
-                return c
-        return Fraction(0)
 
 
 @lru_cache(maxsize=256)
@@ -176,7 +162,7 @@ def testfn_laplacian(phi: TestFunction) -> TestFunction:
             key[i] += 2
             key = tuple(key)
             out[key] = out.get(key, Fraction(0)) + 4 * a * a * c
-    return TestFunction.from_poly(out, a)
+    return TestFunction(out, a)
 
 
 # ---------------------------------------------------------------------

@@ -306,12 +306,6 @@ class DeltaSum(_Record):
             )
         )
 
-    def coefficient_at(self, ell: int, mu: int, p: int) -> ExactScalar:
-        for t in self.terms:
-            if t.key == (ell, mu, p):
-                return t.coefficient
-        return ExactScalar.zero()
-
 
 class DistributionExpr(_Record):
     """Result of a distributional operator: pseudofunction part + delta sum."""

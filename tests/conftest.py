@@ -37,4 +37,4 @@ def random_testfn(rng, max_degree=3, alphas=(Fraction(1, 2), Fraction(1), Fracti
         mono = tuple(rng.randint(0, max_degree) for _ in range(3))
         if sum(mono) <= max_degree:
             poly[mono] = poly.get(mono, Fraction(0)) + rng.randint(-2, 2)
-    return TestFunction.from_poly(poly, rng.choice(list(alphas)))
+    return TestFunction(poly, rng.choice(list(alphas)))

@@ -9,6 +9,7 @@ import distpf.classify
 import distpf.radial
 from distpf import (
     AngularLabel,
+    DeltaTerm,
     EquationForm,
     ExactScalar,
     PhysicalUnits,
@@ -72,7 +73,7 @@ class TestClassifySolution:
     def test_free_particle_singular_l0(self):
         v = classify_solution(PotentialModel.zero(), 0, 0, Fraction(1), -1, 8)
         assert v.kind is VerdictKind.SOLVES_MODIFIED_SE
-        assert v.delta_source.coefficient_at(0, 0, 0) == ExactScalar.pi_term(2, 1)
+        assert v.delta_source.terms == (DeltaTerm(ExactScalar.pi_term(2, 1), 0, 0, 0),)
         assert v.u_at_origin == 1
         assert not v.boundary_condition_met
         assert v.normalizable
@@ -87,7 +88,7 @@ class TestClassifySolution:
     def test_free_particle_singular_l1(self):
         v = classify_solution(PotentialModel.zero(), 1, 1, Fraction(1), -2, 8)
         assert v.kind is VerdictKind.SOLVES_MODIFIED_SE
-        assert v.delta_source.coefficient_at(1, 1, 1) == ExactScalar.pi_term(2, 2)
+        assert v.delta_source.terms == (DeltaTerm(ExactScalar.pi_term(2, 2), 1, 1, 1),)
         assert not v.normalizable
         assert v.u_at_origin is None
         assert EquationForm.REDUCED_POINT_SOURCED not in v.equations_cited
@@ -128,7 +129,7 @@ class TestClassifySolution:
             expected = -kappa * coeff_B(ell, ell) * coeff_C(ell)
             if ell == 0:
                 expected = expected * ExactScalar.pi_term(Fraction(1, 2), -1)
-            assert v.delta_source.coefficient_at(ell, 0, ell) == expected
+            assert v.delta_source.terms == (DeltaTerm(expected, ell, 0, ell),)
 
     def test_source_matches_hamiltonian_apply(self, rng):
         for ell in range(3):

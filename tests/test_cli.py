@@ -682,6 +682,15 @@ class TestMain:
         assert err.startswith("distpf: config error: field hbar2_over_2m")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("value", ["0", "-1/2"])
+    def test_nonpositive_hbar_names_its_text_exit_1(self, capsys, mode, value):
+        assert main(["classify", "--hbar2-over-2m", value, "--mode", mode]) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"distpf: config error: field hbar2_over_2m: hbar^2/2m must be positive, got '{value}'\n",
+        )
+
     @pytest.mark.parametrize("command", ["solve", "classify"])
     @pytest.mark.parametrize("value", ["1e400", "1e-400"])
     def test_float_hbar_outside_float_range_exit_1(self, capsys, command, value):

@@ -37,9 +37,9 @@ class TestExactScalar:
     def test_division_requires_single_term(self):
         mixed = ExactScalar.rational(1) + ExactScalar.pi_term(1, 2)
         with pytest.raises(ValueError):
-            _ = ExactScalar.one() / mixed
+            _ = ExactScalar.rational(1) / mixed
         with pytest.raises(ZeroDivisionError):
-            _ = ExactScalar.one() / 0
+            _ = ExactScalar.rational(1) / 0
 
     def test_str_forms(self):
         assert str(pi_times(-4)) == "-4*pi"
@@ -134,7 +134,7 @@ class TestCoefficientL:
 class TestCoefficientB:
     def test_ell_zero_is_one(self):
         for p in range(6):
-            assert coeff_B(0, p) == ExactScalar.one()
+            assert coeff_B(0, p) == ExactScalar.rational(1)
 
     @pytest.mark.parametrize(
         "ell, p, expected",

@@ -65,8 +65,8 @@ class TestSinglePower:
     def test_inverse_r_is_pure_point_source(self):
         expr = laplacian(pf_of(-1, (1,)))
         assert expr.pf_part.is_zero
-        assert expr.delta_part.coefficient_at(0, 0, 0) == coeff_C(0)
-        assert expr.delta_part.coefficient_at(0, 0, 0) == PI * (-4)
+        assert expr.delta_part.terms == (DeltaTerm(coeff_C(0), 0, 0, 0),)
+        assert coeff_C(0) == PI * (-4)
 
     def test_r_squared(self):
         expr = laplacian(pf_of(2, (1,)))
@@ -76,8 +76,7 @@ class TestSinglePower:
     def test_r_minus_3(self):
         expr = laplacian(pf_of(-3, (1,)))
         assert (expr.pf_part.radial.s, expr.pf_part.radial.coeffs) == (-5, (6,))
-        assert expr.delta_part.coefficient_at(0, 0, 1) == PI * Fraction(-10, 3)
-        assert len(expr.delta_part) == 1
+        assert expr.delta_part.terms == (DeltaTerm(PI * Fraction(-10, 3), 0, 0, 1),)
 
     def test_harmonic_power_annihilated(self):
         for ell in range(5):
@@ -87,8 +86,8 @@ class TestSinglePower:
     def test_angular_weight(self):
         # single power at the singular exponent for ell = 1
         expr = laplacian(pf_of(-2, (1,), 1, 1))
-        assert expr.delta_part.coefficient_at(1, 1, 1) == coeff_B(1, 1) * coeff_C(1)
-        assert expr.delta_part.coefficient_at(1, 1, 1) == PI * (-2)
+        assert expr.delta_part.terms == (DeltaTerm(coeff_B(1, 1) * coeff_C(1), 1, 1, 1),)
+        assert coeff_B(1, 1) * coeff_C(1) == PI * (-2)
 
     def test_quadrupole_over_r_has_no_delta_part(self):
         # Frahm: lap(Y_2 / r) has only the function part; r^2 Y_2 lap(delta) is zero.
@@ -112,14 +111,12 @@ class TestQslEllZero:
 
     def test_inverse_r_single_term(self):
         ds = q_sl(pf_of(-1, (Fraction(5),)))
-        assert len(ds) == 1
-        assert ds.coefficient_at(0, 0, 0) == 5 * coeff_C(0)
+        assert ds.terms == (DeltaTerm(5 * coeff_C(0), 0, 0, 0),)
 
     def test_s_minus_3_parity_kills_middle(self):
         ds = q_sl(pf_of(-3, (2, 7, 3)))
+        assert ds == DeltaSum.build([DeltaTerm(2 * coeff_C(1), 0, 0, 1), DeltaTerm(3 * coeff_C(0), 0, 0, 0)])
         assert len(ds) == 2
-        assert ds.coefficient_at(0, 0, 1) == 2 * coeff_C(1)
-        assert ds.coefficient_at(0, 0, 0) == 3 * coeff_C(0)
 
     def test_terms_only_from_opposite_parity_indices(self, rng):
         # reconstruct k = -2p - 1 - s from each stored term
@@ -160,21 +157,19 @@ class TestQslEllZero:
 
     def test_float_series_integral_exponent_lifts_exactly(self):
         ds = q_sl(PseudoFunction(RadialSeries(-1.0, (2.0,)), AngularLabel(0, 0)))
-        assert ds.coefficient_at(0, 0, 0) == 2 * coeff_C(0)
+        assert ds.terms == (DeltaTerm(2 * coeff_C(0), 0, 0, 0),)
 
 
 class TestQsl:
     def test_s_minus2_ell1(self):
         ds = q_sl(pf_of(-2, (1, 1), ell=1, mu=0))
-        assert len(ds) == 1
-        assert ds.coefficient_at(1, 0, 1) == PI * (-2)
+        assert ds.terms == (DeltaTerm(PI * (-2), 1, 0, 1),)
 
     def test_leading_term_at_singular_root(self):
         # s = -(ell+1): the k = 0 rung is always occupied
         for ell in range(7):
             ds = q_sl(pf_of(-(ell + 1), (1,), ell=ell, mu=0))
-            assert ds.coefficient_at(ell, 0, ell) == coeff_B(ell, ell) * coeff_C(ell)
-            assert not ds.is_empty
+            assert ds.terms == (DeltaTerm(coeff_B(ell, ell) * coeff_C(ell), ell, 0, ell),)
 
     def test_regular_exponent_empty_for_any_series(self, rng):
         for ell in range(7):
@@ -289,7 +284,7 @@ class TestLaplacian:
 
     def test_inverse_r_bare_weight(self):
         expr = laplacian(pf_of(-1, (1,)))
-        assert expr.delta_part.coefficient_at(0, 0, 0) == PI * (-4)
+        assert expr.delta_part.terms == (DeltaTerm(PI * (-4), 0, 0, 0),)
 
     def test_regular_exponent_no_delta_up_to_ell_6(self, rng):
         for ell in range(7):
@@ -332,8 +327,8 @@ class TestEllZeroLaplacian:
 
     def test_s_minus_3_delta_terms(self):
         expr = laplacian(pf_of(-3, (1, 1, 1)))
-        assert expr.delta_part.coefficient_at(0, 0, 1) == coeff_C(1)
-        assert expr.delta_part.coefficient_at(0, 0, 0) == coeff_C(0)
+        assert expr.delta_part == DeltaSum.build([DeltaTerm(coeff_C(1), 0, 0, 1), DeltaTerm(coeff_C(0), 0, 0, 0)])
+        assert len(expr.delta_part) == 2
 
 
 @st.composite
@@ -440,7 +435,7 @@ class TestHamiltonianApply:
         res = frobenius(PotentialModel.zero(), 0, E, -1, 6, units)
         pf = from_u(res.series, AngularLabel(0, 0))
         expr = hamiltonian_apply(pf, PotentialModel.zero(), E, units)
-        assert expr.delta_part.coefficient_at(0, 0, 0) == ExactScalar.pi_term(3, 1)
+        assert expr.delta_part.terms == (DeltaTerm(ExactScalar.pi_term(3, 1), 0, 0, 0),)
 
     def test_strict_mode_rejects_non_solution(self):
         pf = pf_of(0, (1, 1))  # r + r^2 solves nothing at E = 5

@@ -5,11 +5,18 @@ Every mutant replaces one name where the engine looks it up
 and names the check that kills it: the default ``distpf verify`` grid, a
 closed-form family of ``tests/test_radial.py`` or an acceptance test.
 None of these checks reads golden bytes.  A rule that lands in ``src/``
-adds its mutant here.
+adds its mutant here.  A rule written inline, which no replaced name
+reaches, is a source-level mutant: one string rewritten in a copy of
+``src/``, with its killer run against that copy in a fresh interpreter.
 """
 
 import contextlib
 import io
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -176,3 +183,40 @@ def test_mutant_is_killed(monkeypatch, patch, killer):
 def test_killer_passes_on_the_engine(killer):
     with _fresh_laplacians():
         killer()
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# (module, original text, rewritten text, killing test); the text occurs once.
+SOURCE_MUTANTS = [
+    pytest.param(
+        "distlap.py",
+        "ExactScalar.rational(-units.hbar2_over_2m)",
+        "ExactScalar.rational(units.hbar2_over_2m)",
+        "tests/test_acceptance.py::test_08_free_particle_singular_source",
+        id="delta source scaled by +hbar^2/2m, not -hbar^2/2m",
+    ),
+]
+
+
+def _pytest_on(src, test_id):
+    """Run one test with ``src`` first on the import path: pytest's own
+    ``pythonpath`` setting would put the checkout's ``src/`` ahead of it."""
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "pythonpath=", test_id]
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("module, original, rewritten, killer", SOURCE_MUTANTS)
+def test_source_mutant_is_killed(tmp_path, module, original, rewritten, killer):
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    path = src / "distpf" / module
+    text = path.read_text()
+    assert text.count(original) == 1
+    clean = _pytest_on(src, killer)
+    assert clean.returncode == 0, clean.stdout
+    path.write_text(text.replace(original, rewritten))
+    mutated = _pytest_on(src, killer)
+    assert mutated.returncode == 1 and "1 failed" in mutated.stdout, mutated.stdout

@@ -45,17 +45,33 @@ def pf_of(s, coeffs, ell=0, mu=0):
 class TestTestFunction:
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError):
-            TestFunction.gaussian(0)
+            TestFunction({(0, 0, 0): 1}, 0)
         with pytest.raises(ValueError):
-            TestFunction.gaussian(-1)
+            TestFunction({(0, 0, 0): 1}, -1)
 
-    def test_value_at_origin(self):
-        phi = TestFunction.from_poly({(0, 0, 0): Fraction(3), (2, 0, 0): 1}, 1)
-        assert phi.value_at_origin() == 3
+    @pytest.mark.parametrize(
+        "poly, alpha",
+        [
+            ({(0, 0, 0): 1}, 1),
+            ({(0, 0, 0): Fraction(3), (2, 0, 0): 1, (0, 1, 0): 0}, Fraction(1, 2)),
+            ({(1, 1, 0): -2, (0, 0, 4): 0, (0, 0, 0): Fraction(2, 3)}, "5/3"),
+        ],
+        ids=["gaussian", "zero-dropped", "unsorted"],
+    )
+    def test_built_from_a_mapping_or_its_pairs(self, poly, alpha):
+        phi = TestFunction(poly, alpha)
+        nonzero = {mono: Fraction(c) for mono, c in poly.items() if c}
+        assert phi.terms == tuple(sorted(nonzero.items()))
+        assert phi.poly == nonzero and phi.alpha == Fraction(alpha)
+        for again in (TestFunction(phi.terms, alpha), TestFunction(list(poly.items()), phi.alpha)):
+            assert again == phi and hash(again) == hash(phi)
+        for width in (0, -phi.alpha):
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                TestFunction(poly, width)
 
     def test_laplacian_of_bare_gaussian(self):
         a = Fraction(1, 2)
-        out = testfn_laplacian(TestFunction.gaussian(a))
+        out = testfn_laplacian(TestFunction({(0, 0, 0): 1}, a))
         expected = {(0, 0, 0): -6 * a}
         for i in range(3):
             mono = [0, 0, 0]
@@ -64,7 +80,7 @@ class TestTestFunction:
         assert out.poly == {k: Fraction(v) for k, v in expected.items()}
 
     def test_laplacian_of_x_gaussian(self):
-        out = testfn_laplacian(TestFunction.from_poly({(1, 0, 0): 1}, 1))
+        out = testfn_laplacian(TestFunction({(1, 0, 0): 1}, 1))
         poly = out.poly
         assert poly[(1, 0, 0)] == -10
         assert poly[(3, 0, 0)] == 4
@@ -74,13 +90,13 @@ class TestTestFunction:
 
     def test_laplacian_is_cached_per_equal_test_function(self):
         poly = {(0, 0, 0): Fraction(2, 3), (1, 2, 0): -1}
-        first = testfn_laplacian(TestFunction.from_poly(poly, Fraction(5, 3)))
-        again = testfn_laplacian(TestFunction.from_poly(dict(poly), Fraction(5, 3)))
+        first = testfn_laplacian(TestFunction(poly, Fraction(5, 3)))
+        again = testfn_laplacian(TestFunction(dict(poly), Fraction(5, 3)))
         assert again is first
 
     def test_laplacian_matches_finite_differences(self):
         # independent check of the closed form by central differences
-        phi = TestFunction.from_poly({(0, 0, 0): 1, (1, 1, 0): 2, (2, 0, 1): -1}, Fraction(3, 4))
+        phi = TestFunction({(0, 0, 0): 1, (1, 1, 0): 2, (2, 0, 1): -1}, Fraction(3, 4))
         lap = testfn_laplacian(phi)
 
         def value(tf, x, y, z):
@@ -290,33 +306,33 @@ class TestSolidHarmonics:
 
 class TestPairings:
     def test_inverse_r_against_gaussian(self):
-        assert pair_pseudofunction(pf_of(-1, (1,)), TestFunction.gaussian(1)) == pytest.approx(
+        assert pair_pseudofunction(pf_of(-1, (1,)), TestFunction({(0, 0, 0): 1}, 1)) == pytest.approx(
             2 * PI, rel=1e-14
         )
 
     def test_r_squared_against_gaussian(self):
-        assert pair_pseudofunction(pf_of(2, (1,)), TestFunction.gaussian(1)) == pytest.approx(
+        assert pair_pseudofunction(pf_of(2, (1,)), TestFunction({(0, 0, 0): 1}, 1)) == pytest.approx(
             4 * PI * 3 * math.sqrt(PI) / 8, rel=1e-14
         )
 
     def test_finite_part_pairing_r_minus_3(self):
-        assert pair_pseudofunction(pf_of(-3, (1,)), TestFunction.gaussian(1)) == pytest.approx(
+        assert pair_pseudofunction(pf_of(-3, (1,)), TestFunction({(0, 0, 0): 1}, 1)) == pytest.approx(
             -2 * PI * EULER_GAMMA, rel=1e-14
         )
 
     def test_zero_pf(self):
         pf = PseudoFunction(RadialSeries.zero(), AngularLabel(0, 0))
-        assert pair_pseudofunction(pf, TestFunction.gaussian(1)) == 0.0
+        assert pair_pseudofunction(pf, TestFunction({(0, 0, 0): 1}, 1)) == 0.0
 
     def test_non_integral_exponent_rejected(self):
         pf = PseudoFunction(RadialSeries(-1.5, (1.0,)), AngularLabel(0, 0))
         with pytest.raises(ValueError, match="integer leading exponent"):
-            pair_pseudofunction(pf, TestFunction.gaussian(1))
+            pair_pseudofunction(pf, TestFunction({(0, 0, 0): 1}, 1))
 
     def test_ell_five_pairs_against_its_own_core(self):
         # <r^s Y, core e^{-alpha r^2}> = sqrt(pi/q) F(s + ell + 2, alpha)
         q, core = _solid_harmonic(5, 0)
-        phi = TestFunction.from_poly(core, 1)
+        phi = TestFunction(core, 1)
         assert pair_pseudofunction(pf_of(-6, (1,), ell=5, mu=0), phi) == pytest.approx(
             math.sqrt(PI / q) * finite_part_integral(1, 1), rel=1e-14
         )
@@ -325,10 +341,10 @@ class TestPairings:
 def _pair_delta_iterated(term, phi):
     """pair_delta by p iterated Laplacians inside the test-function class."""
     q, core = _solid_harmonic(term.ell, term.mu)
-    probe = TestFunction.from_poly(_poly_mul(core, phi.poly), phi.alpha)
+    probe = TestFunction(_poly_mul(core, phi.poly), phi.alpha)
     for _ in range(term.p):
         probe = testfn_laplacian(probe)
-    exact = term.coefficient * probe.value_at_origin()
+    exact = term.coefficient * probe.poly.get((0, 0, 0), 0)
     return _scalar_to_float(exact) * _harmonic_scale(q)
 
 
@@ -352,7 +368,7 @@ def delta_pairings(draw):
     monomials = exponents.filter(lambda mono: sum(mono) <= 4)
     poly = draw(st.dictionaries(monomials, rationals, min_size=1, max_size=4))
     alpha = draw(st.fractions(min_value=Fraction(1, 9), max_value=4, max_denominator=9))
-    return DeltaTerm(weight, ell, mu, p), TestFunction.from_poly(poly, alpha)
+    return DeltaTerm(weight, ell, mu, p), TestFunction(poly, alpha)
 
 
 class TestPairDelta:
@@ -363,8 +379,8 @@ class TestPairDelta:
         assert pair_delta(term, phi) == _pair_delta_iterated(term, phi)
 
     def test_never_takes_a_laplacian(self, monkeypatch):
-        phi = TestFunction.from_poly({(0, 0, 0): 1, (2, 0, 2): Fraction(-3, 7)}, Fraction(3, 4))
-        term = DeltaTerm(ExactScalar.one(), 4, 0, 16)
+        phi = TestFunction({(0, 0, 0): 1, (2, 0, 2): Fraction(-3, 7)}, Fraction(3, 4))
+        term = DeltaTerm(ExactScalar.rational(1), 4, 0, 16)
         expected = _pair_delta_iterated(term, phi)
         assert expected != 0.0
 
@@ -375,42 +391,42 @@ class TestPairDelta:
         assert pair_delta(term, phi) == expected
 
     def test_bare_delta_is_origin_evaluation(self):
-        phi = TestFunction.from_poly({(0, 0, 0): Fraction(5, 7), (2, 0, 0): 3}, 1)
-        term = DeltaTerm(ExactScalar.one(), 0, 0, 0)
+        phi = TestFunction({(0, 0, 0): Fraction(5, 7), (2, 0, 0): 3}, 1)
+        term = DeltaTerm(ExactScalar.rational(1), 0, 0, 0)
         assert pair_delta(term, phi) == float(Fraction(5, 7))
 
     def test_bare_delta_exact_over_random_algebra(self, rng):
-        term = DeltaTerm(ExactScalar.one(), 0, 0, 0)
+        term = DeltaTerm(ExactScalar.rational(1), 0, 0, 0)
         for _ in range(25):
             phi = random_testfn(rng)
-            assert pair_delta(term, phi) == float(phi.value_at_origin())
+            assert pair_delta(term, phi) == float(phi.poly.get((0, 0, 0), 0))
 
     def test_ell_five_pairs_against_its_own_core(self):
         # lap^5(core^2)(0) = 11!/(4 pi) * pi/q, by Pizzetti's formula
         q, core = _solid_harmonic(5, 0)
-        phi = TestFunction.from_poly(core, 1)
-        term = DeltaTerm(ExactScalar.one(), 5, 0, 5)
+        phi = TestFunction(core, 1)
+        term = DeltaTerm(ExactScalar.rational(1), 5, 0, 5)
         value = pair_delta(term, phi)
         assert value == _pair_delta_iterated(term, phi)
         assert value == pytest.approx(math.factorial(11) / (4 * math.sqrt(q * PI)), rel=1e-14)
 
     def test_iterated_delta_on_gaussian(self):
-        term = DeltaTerm(ExactScalar.one(), 0, 0, 1)
-        assert pair_delta(term, TestFunction.gaussian(1)) == -6.0
+        term = DeltaTerm(ExactScalar.rational(1), 0, 0, 1)
+        assert pair_delta(term, TestFunction({(0, 0, 0): 1}, 1)) == -6.0
 
     def test_weighted_term(self):
         term = DeltaTerm(ExactScalar.pi_term(2, 1), 0, 0, 0)  # 2 sqrt(pi) delta
-        assert pair_delta(term, TestFunction.gaussian(1)) == pytest.approx(
+        assert pair_delta(term, TestFunction({(0, 0, 0): 1}, 1)) == pytest.approx(
             2 * math.sqrt(PI), rel=1e-15
         )
 
     def test_harmonic_prefactor_needs_matching_derivatives(self):
         # <r Y lap(delta), x phi> is generically nonzero ...
-        phi = TestFunction.from_poly({(1, 0, 0): 1}, 1)
-        term = DeltaTerm(ExactScalar.one(), 1, 1, 1)
+        phi = TestFunction({(1, 0, 0): 1}, 1)
+        term = DeltaTerm(ExactScalar.rational(1), 1, 1, 1)
         assert pair_delta(term, phi) != 0.0
         # ... but pairing it against a pure even function gives zero
-        assert pair_delta(term, TestFunction.gaussian(1)) == 0.0
+        assert pair_delta(term, TestFunction({(0, 0, 0): 1}, 1)) == 0.0
 
 
 def _pair_pseudofunction_reference(pf, phi):
@@ -467,7 +483,7 @@ def cached_pairings(draw):
     alpha = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3, 7)]))
     p = draw(st.integers(min_value=ell, max_value=ell + 4))
     term = DeltaTerm(ExactScalar.rational(draw(rationals.filter(bool))), ell, mu, p)
-    return pf, TestFunction.from_poly(poly, alpha), term
+    return pf, TestFunction(poly, alpha), term
 
 
 class TestPairingCaches:
@@ -511,17 +527,17 @@ class TestPairingCaches:
         oracle._laplacian.cache_clear()
         calls = []
         self._count_calls(monkeypatch, "laplacian", calls)
-        phi = TestFunction.gaussian(1)
+        phi = TestFunction({(0, 0, 0): 1}, 1)
         for pf in (exact, flt, exact, flt):
             verify_laplacian_identity(pf, phi)
         assert [args[0].radial.is_exact for _, args in calls] == [True, False]
         assert oracle._laplacian(flt).pf_part.radial.is_exact is False
 
     def test_test_function_hash_ignores_insertion_order(self):
-        a = TestFunction.from_poly({(0, 0, 0): 1, (2, 0, 0): Fraction(1, 3), (0, 1, 1): -1}, 1)
-        b = TestFunction.from_poly({(0, 1, 1): -1, (2, 0, 0): Fraction(1, 3), (0, 0, 0): 1}, 1)
+        a = TestFunction({(0, 0, 0): 1, (2, 0, 0): Fraction(1, 3), (0, 1, 1): -1}, 1)
+        b = TestFunction({(0, 1, 1): -1, (2, 0, 0): Fraction(1, 3), (0, 0, 0): 1}, 1)
         assert a == b and hash(a) == hash(b) == hash((a.terms, a.alpha))
-        assert a != TestFunction.from_poly(a.poly, 2)
+        assert a != TestFunction(a.poly, 2)
 
 
 class TestLaplacianIdentity:
@@ -531,11 +547,11 @@ class TestLaplacianIdentity:
         for _ in range(10):
             phi = random_testfn(rng)
             lhs = pair_pseudofunction(pf, testfn_laplacian(phi))
-            assert abs(lhs + 4 * PI * float(phi.value_at_origin())) < 1e-9
+            assert abs(lhs + 4 * PI * float(phi.poly.get((0, 0, 0), 0))) < 1e-9
             assert verify_laplacian_identity(pf, phi) < 1e-9
 
     def test_cubic_calibration_case(self):
-        phi = TestFunction.gaussian(1)
+        phi = TestFunction({(0, 0, 0): 1}, 1)
         pf = pf_of(-3, (1,))
         expected = 8 * PI + 12 * PI * EULER_GAMMA
         lhs = pair_pseudofunction(pf, testfn_laplacian(phi))
@@ -545,7 +561,7 @@ class TestLaplacianIdentity:
     def test_harmonic_power_trivial(self):
         for ell in range(4):
             pf = pf_of(ell, (1,), ell=ell, mu=-ell)
-            phi = TestFunction.gaussian(Fraction(1, 2))
+            phi = TestFunction({(0, 0, 0): 1}, Fraction(1, 2))
             assert pair_pseudofunction(pf, testfn_laplacian(phi)) == pytest.approx(0, abs=1e-10)
             assert verify_laplacian_identity(pf, phi) < 1e-10
 
@@ -563,7 +579,7 @@ class TestLaplacianIdentity:
         for mu in sorted({-ell, -1, 0, 1, ell - 1}):
             core = _solid_harmonic(ell, mu)[1]
             poly = _poly_mul(core, {(0, 0, 0): 1, (2, 0, 0): Fraction(1, 3), (0, 1, 1): -1})
-            phi = TestFunction.from_poly(poly, Fraction(1, 2))
+            phi = TestFunction(poly, Fraction(1, 2))
             for s in (-2 * ell - 1, -2 * ell - 2, -ell - 1):
                 pf = pf_of(s, (1, Fraction(-1, 2), 2), ell=ell, mu=mu)
                 lhs = pair_pseudofunction(pf, testfn_laplacian(phi))

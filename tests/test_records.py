@@ -171,7 +171,7 @@ RECORDS = {
     PhysicalUnits: (units, ("hbar2_over_2m",)),
     FreeParameterSetToZero: (st.builds(FreeParameterSetToZero, st.integers(1, 20)), ("order",)),
     FrobeniusResult: (frobenius_results(), ("series", "root_used", "resonance_report")),
-    TestFunction: (st.builds(TestFunction.from_poly, polys, alphas), ("terms", "alpha")),
+    TestFunction: (st.builds(TestFunction, polys, alphas), ("terms", "alpha")),
     ProblemSpec: (
         st.builds(
             ProblemSpec,

@@ -1,13 +1,14 @@
 """Module structure of distpf: an acyclic import graph, imports at top level only,
 stdlib only, ``dataclasses`` in ``classify`` only, no private name left unread, no
-public name that nothing needs, and a package namespace that is the union of the
-module ``__all__`` lists."""
+public name or class member that nothing needs, and a package namespace that is the
+union of the module ``__all__`` lists."""
 
 import ast
 import graphlib
 import importlib
 import pathlib
 import sys
+import types
 
 import distpf
 
@@ -109,19 +110,23 @@ def test_no_unused_imports():
     assert found == []
 
 
-def _read_names(tree, by_text=False) -> set:
-    """Every name a module reads, bare or as an attribute; with ``by_text``
-    also every name it spells as a string, as ``perfbench``'s tracer does
-    to wrap a function where its callers find it."""
+def _attribute_loads(tree, by_text=False) -> set:
+    """Every name a module loads as an attribute; with ``by_text`` also every
+    name it spells as a string, as ``perfbench``'s tracer does to wrap a
+    function where its callers find it."""
     read = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
         elif by_text and isinstance(node, ast.Constant) and isinstance(node.value, str):
             read.add(node.value)
     return read
+
+
+def _read_names(tree, by_text=False) -> set:
+    """Every name a module reads, bare or as an attribute (see ``_attribute_loads``)."""
+    bare = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bare | _attribute_loads(tree, by_text)
 
 
 def _annotation_names(tree) -> set:
@@ -199,3 +204,23 @@ def test_package_exports_the_union_of_module_all_lists():
     assert sorted(distpf.__all__) == sorted(owners)
     for public, module in owners.items():
         assert getattr(distpf, public) is getattr(module, public), public
+
+
+def test_every_public_member_is_read():
+    """Each public method, property, staticmethod and classmethod of a class in
+    ``distpf.__all__`` is loaded as an attribute in the package, ``demos/`` or
+    ``perfbench/``; a test alone does not keep it."""
+    read = set().union(
+        *map(_attribute_loads, _trees().values()),
+        *(_attribute_loads(ast.parse(path.read_text())) for path in (ROOT / "demos").glob("*.py")),
+        *(_attribute_loads(ast.parse(path.read_text()), True) for path in (ROOT / "perfbench").glob("*.py")),
+    )
+    members = (types.FunctionType, property, staticmethod, classmethod)
+    found = [
+        f"{public}.{member}"
+        for public in sorted(distpf.__all__)
+        if isinstance(cls := getattr(distpf, public), type)
+        for member, value in vars(cls).items()
+        if not member.startswith("_") and isinstance(value, members) and member not in read
+    ]
+    assert found == []
