@@ -14,7 +14,7 @@ from distpf import LogObstruction, PotentialModel, frobenius, indicial_roots
 
 # A Coulomb-type potential -2/r at E = -1: the regular branch is the
 # classic bound state u = r * exp(-r), i.e. a_k = (-1)^k / k!.
-V = PotentialModel.coulomb(-2)
+V = PotentialModel(-2)
 res = frobenius(V, ell=0, E=Fraction(-1), root=0, N=10)
 print("Coulomb -2/r, E = -1, regular branch:")
 print("  u(r) =", " + ".join(f"({a}) r^{res.series.s + k}" for k, a in enumerate(res.series.coeffs) if a))
@@ -26,7 +26,7 @@ except LogObstruction as obs:
     print(f"  singular branch: needs a logarithm at order {obs.order}")
 
 # Free particle, l = 0: the singular branch exists and is cos(sqrt(E) r).
-res = frobenius(PotentialModel.zero(), ell=0, E=Fraction(4), root=-1, N=8)
+res = frobenius(PotentialModel(), ell=0, E=Fraction(4), root=-1, N=8)
 print("\nFree particle E = 4, singular branch (u = cos(2r)):")
 print("  coefficients:", [str(a) for a in res.series.coeffs])
 print("  resonance   :", res.resonance_report)

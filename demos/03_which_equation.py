@@ -38,20 +38,20 @@ def show(title, verdict):
 # Regular branch of a Coulomb bound state: a plain solution.
 show(
     "Coulomb -2/r, E = -1, regular branch",
-    classify_solution(PotentialModel.coulomb(-2), 0, 0, Fraction(-1), 0, 10),
+    classify_solution(PotentialModel(-2), 0, 0, Fraction(-1), 0, 10),
 )
 
 # Free particle, singular branch, l = 0: normalizable, u(0) = 1 != 0, and
 # it satisfies the modified equation with source 2 sqrt(pi) u(0) delta.
 show(
     "free particle, E = 1, singular branch, l = 0",
-    classify_solution(PotentialModel.zero(), 0, 0, Fraction(1), -1, 8),
+    classify_solution(PotentialModel(), 0, 0, Fraction(1), -1, 8),
 )
 
 # l = 1 singular branch: sourced as well, but not normalizable anyway.
 show(
     "free particle, E = 1, singular branch, l = 1",
-    classify_solution(PotentialModel.zero(), 1, 0, Fraction(1), -2, 8),
+    classify_solution(PotentialModel(), 1, 0, Fraction(1), -2, 8),
 )
 
 # The equivalence in bulk: over a small sweep of l = 0 problems the

@@ -93,7 +93,7 @@ class Verdict:
     obstruction_order: int | None
 
     @classmethod
-    def of(cls, root: int, source=DeltaSum.empty(), u_series=None, obstruction_order=None) -> "Verdict":
+    def of(cls, root: int, source=DeltaSum(), u_series=None, obstruction_order=None) -> "Verdict":
         """The verdict on a state: no series, no radial solution; else SOLVES_SE iff no source."""
         if u_series is None:
             return cls(VerdictKind.NOT_RADIAL_SOLUTION, source, root, None, obstruction_order)

@@ -395,25 +395,21 @@ def _roots_for(spec: ProblemSpec) -> list[int]:
 
 
 # ---------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (exit code, report lines, a function that
+# builds the --json payload), so only --json pays for serialising.
 # ---------------------------------------------------------------------
 
 
 def _cmd_coeffs(spec: ProblemSpec):
-    rows = []
+    table = [(p, coeff_C(p), coeff_L(p), coeff_B(spec.ell, p)) for p in range(spec.order + 1)]
     lines = [f"p    C_p                 L_p                 B(ell={spec.ell},p)"]
-    for p in range(spec.order + 1):
-        C, L, B = coeff_C(p), coeff_L(p), coeff_B(spec.ell, p)
-        lines.append(f"{p:<4} {str(C):<19} {str(L):<19} {B}")
-        rows.append(
-            {
-                "p": p,
-                "C": serialize_scalar(C),
-                "L": serialize_scalar(L),
-                "B": serialize_scalar(B),
-            }
-        )
-    return 0, lines, {"table": rows}
+    lines += [f"{p:<4} {str(C):<19} {str(L):<19} {B}" for p, C, L, B in table]
+    return 0, lines, lambda: {
+        "table": [
+            {"p": p, "C": serialize_scalar(C), "L": serialize_scalar(L), "B": serialize_scalar(B)}
+            for p, C, L, B in table
+        ]
+    }
 
 
 def _require_series(spec: ProblemSpec) -> PseudoFunction:
@@ -457,19 +453,16 @@ def _cmd_laplacian(spec: ProblemSpec):
     expr = laplacian(pf)
     lines = [f"laplacian of Pf[{_series_text(pf.radial)}] * Y[{spec.ell},{spec.mu}]"]
     lines += _expr_lines(expr)
-    payload = serialize_expr(expr)
-    code = 0
+    code, checked = 0, {}
     if spec.verify:
         rows, worst, code = _residual_grid([pf], spec.tol)
-        payload["residuals"] = rows
+        checked = {"residuals": rows}
         lines.append(f"  residual: max {worst:.3e} over {len(rows)} pairings")
-    return code, lines, payload
+    return code, lines, lambda: {**serialize_expr(expr), **checked}
 
 
 def _cmd_solve(spec: ProblemSpec):
-    lines = []
-    payload = {"solutions": []}
-    code = 0
+    lines, solutions, code = [], [], 0
     for root in _roots_for(spec):
         try:
             res = frobenius(spec.potential, spec.ell, spec.energy, root, spec.order, spec.units)
@@ -477,30 +470,21 @@ def _cmd_solve(spec: ProblemSpec):
             lines.append(
                 f"root s={root}: no pure series (logarithm required at order {obs.order})"
             )
-            payload["solutions"].append({"root": root, "obstruction_order": obs.order})
+            solutions.append({"root": root, "obstruction_order": obs.order})
             code = 2
             continue
         lines.append(f"root s={root}: u(r) = {_series_text(res.series)}")
-        if res.resonance_report is not None:
-            lines.append(
-                f"  free coefficient at order {res.resonance_report.order} set to zero"
-            )
-        payload["solutions"].append(
-            {
-                "root": root,
-                "series": serialize_series(res.series),
-                "free_parameter_order": res.resonance_report.order
-                if res.resonance_report
-                else None,
-            }
-        )
-    return code, lines, payload
+        report = res.resonance_report
+        if report is not None:
+            lines.append(f"  free coefficient at order {report.order} set to zero")
+        solutions.append({"root": root, "series": res.series, "free_parameter_order": report.order if report else None})
+    return code, lines, lambda: {
+        "solutions": [{**s, "series": serialize_series(s["series"])} if "series" in s else s for s in solutions]
+    }
 
 
 def _cmd_classify(spec: ProblemSpec):
-    lines = []
-    payload = {"verdicts": []}
-    code = 0
+    lines, verdicts, code = [], [], 0
     for root in _roots_for(spec):
         v = classify_solution(
             spec.potential, spec.ell, spec.mu, spec.energy, root, spec.order, spec.units
@@ -517,8 +501,8 @@ def _cmd_classify(spec: ProblemSpec):
             lines.append(f"  u(0)=0  : {'yes' if v.boundary_condition_met else 'no'}")
             lines.append(f"  normalizable at origin: {'yes' if v.normalizable else 'no'}")
             lines += [f"  satisfies: {c.value} ({EQUATION_DESCRIPTIONS[c]})" for c in v.equations_cited]
-        payload["verdicts"].append(serialize_verdict(v))
-    return code, lines, payload
+        verdicts.append(v)
+    return code, lines, lambda: {"verdicts": [serialize_verdict(v) for v in verdicts]}
 
 
 def _default_verify_cases():
@@ -538,7 +522,7 @@ def _cmd_verify(spec: ProblemSpec):
         f"{row['s']:>4} {row['ell']:>4} {row['alpha']:>6} {row['poly']:>5} {row['residual']:>12.3e}" for row in rows
     ]
     lines.append(f"max residual {worst:.3e} over {len(rows)} pairings (tol {spec.tol:g})")
-    return code, lines, {"residuals": rows, "max_residual": worst, "tol": spec.tol}
+    return code, lines, lambda: {"residuals": rows, "max_residual": worst, "tol": spec.tol}
 
 
 _COMMANDS = {
@@ -550,11 +534,19 @@ _COMMANDS = {
 }
 
 
-def run(command: str, spec: ProblemSpec):
-    """Execute one subcommand; returns (exit_code, report_text, payload)."""
+def run(command: str, spec: ProblemSpec, document: bool = True):
+    """Execute one subcommand; returns (exit_code, report_text, payload).
+
+    The payload is the ``--json`` document, built only when ``document`` is
+    true and None otherwise: serialising a deep exact series costs more than
+    computing it.
+    """
     if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    code, lines, payload = _COMMANDS[command](spec)
+    code, lines, build = _COMMANDS[command](spec)
+    if not document:
+        return code, "\n".join(lines), None
+    payload = build()
     verdict = payload["verdicts"][0] if "verdicts" in payload else None
     # Keys present in the payload keep their place here and take its value.
     doc = {
@@ -624,7 +616,7 @@ def main(argv=None) -> int:
             report = f"{__doc__}\nValue flags: {' '.join(_VALUE_FLAGS)}\nSwitches: --verify, -h/--help"
             code, doc = 0, None
         else:
-            code, report, doc = run(command, spec)
+            code, report, doc = run(command, spec, document=bool(json_path))
         if json_path:  # written first: a reader that closes stdout early still gets it
             with open(json_path, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(doc, indent=2) + "\n")

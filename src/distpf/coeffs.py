@@ -138,10 +138,6 @@ class ExactScalar(_Record):
         """The single term q * pi^(half_power / 2)."""
         return ExactScalar.from_map({half_power: q})
 
-    @staticmethod
-    def zero() -> "ExactScalar":
-        return ExactScalar()
-
     # -- inspection ----------------------------------------------------
 
     @property
@@ -254,7 +250,6 @@ def coeff_C(p: int) -> ExactScalar:
     return ExactScalar.pi_term(rat, 2)
 
 
-@lru_cache(maxsize=None)
 def coeff_L(p: int) -> ExactScalar:
     """Companion weight C_(p-1) / (8p(2p+1)) - C_p / 4.
 

@@ -85,7 +85,7 @@ def q_sl(pf: PseudoFunction) -> DeltaSum:
     ell, mu = pf.angular.ell, pf.angular.mu
     s = _integral_exponent(pf.radial.s)
     if s is None:
-        return DeltaSum.empty()
+        return DeltaSum()
     # Only the a_k that can sit on a rung, k <= -s-ell-1 with k = ell-s-1
     # (mod 2), are read; there p = (ell - s - 1 - k) / 2 >= ell, one k per p.
     # No weight is zero (nor is coeff_B or coeff_C): reversed, the terms are canonical.

@@ -180,7 +180,7 @@ def angular_moment(a: int, b: int, c: int) -> ExactScalar:
     if min(a, b, c) < 0:
         raise ValueError("exponents must be nonnegative")
     if a % 2 or b % 2 or c % 2:
-        return ExactScalar.zero()
+        return ExactScalar()
     num = 4 * _double_factorial(a - 1) * _double_factorial(b - 1) * _double_factorial(c - 1)
     return ExactScalar.pi_term(Fraction(num, _double_factorial(a + b + c + 1)), 2)
 
@@ -306,7 +306,7 @@ def _solid_harmonic(ell: int, mu: int) -> tuple[Fraction | None, dict]:
     g = math.gcd(*core.values())
     core = {mono: c // g for mono, c in core.items()}
     square = _poly_mul(core, core)
-    norm = sum((c * angular_moment(*mono) for mono, c in square.items()), ExactScalar.zero())
+    norm = sum((c * angular_moment(*mono) for mono, c in square.items()), ExactScalar())
     return 1 / norm.as_single_term()[1], core  # norm = pi / q
 
 
@@ -344,7 +344,7 @@ def pair_pseudofunction(pf: PseudoFunction, phi: TestFunction) -> float:
     series are meaningful here (a truncated tail would dominate the
     integral); exponents must be integers.
     """
-    if pf.is_zero:
+    if pf.radial.is_zero:
         return 0.0
     ell, mu = pf.angular.ell, pf.angular.mu
     s = _integral_exponent(pf.radial.s)

@@ -152,10 +152,6 @@ class RadialSeries(_Record):
         return RadialSeries(s, tuple(Fraction(a) for a in coeffs))
 
     @staticmethod
-    def zero() -> "RadialSeries":
-        return RadialSeries(0, ())
-
-    @staticmethod
     def make(s, coeffs) -> "RadialSeries":
         """Build a series, stripping leading zeros and normalising zero."""
         coeffs = list(coeffs)
@@ -163,7 +159,7 @@ class RadialSeries(_Record):
             coeffs.pop(0)
             s = s + 1
         if not coeffs:
-            return RadialSeries.zero()
+            return RadialSeries(0, ())
         return RadialSeries(s, tuple(coeffs))
 
     # -- inspection ----------------------------------------------------
@@ -179,7 +175,7 @@ class RadialSeries(_Record):
 
     def scaled(self, factor) -> "RadialSeries":
         if self.is_zero or factor == 0:
-            return RadialSeries.zero()
+            return RadialSeries(0, ())
         if not (self.is_exact and isinstance(factor, (int, Fraction))):
             return RadialSeries(self.s, tuple(map(mul, self.coeffs, repeat(factor))))
         # One small gcd, of den and p: the product stays over the common
@@ -219,10 +215,6 @@ class PseudoFunction(_Record):
     def __init__(self, radial: RadialSeries, angular: AngularLabel):
         object.__setattr__(self, "radial", radial)
         object.__setattr__(self, "angular", angular)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.radial.is_zero
 
 
 class DeltaTerm(_Record):
@@ -272,17 +264,13 @@ class DeltaSum(_Record):
         """Merge terms sharing a key, dropping anything that cancels."""
         acc: dict[tuple[int, int, int], ExactScalar] = {}
         for t in terms:
-            acc[t.key] = acc.get(t.key, ExactScalar.zero()) + t.coefficient
+            acc[t.key] = acc.get(t.key, ExactScalar()) + t.coefficient
         kept = [
             DeltaTerm(c, ell, mu, p)
             for (ell, mu, p), c in sorted(acc.items())
             if not c.is_zero
         ]
         return DeltaSum(tuple(kept))
-
-    @staticmethod
-    def empty() -> "DeltaSum":
-        return DeltaSum()
 
     @property
     def is_empty(self) -> bool:
@@ -324,5 +312,5 @@ def from_u(u: RadialSeries, angular: AngularLabel) -> PseudoFunction:
     the exponent down by one and leaves the coefficient list untouched.
     """
     if u.is_zero:
-        return PseudoFunction(RadialSeries.zero(), angular)
+        return PseudoFunction(RadialSeries(0, ()), angular)
     return PseudoFunction(u._with_exponent(u.s - 1), angular)

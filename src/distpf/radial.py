@@ -84,14 +84,6 @@ class PotentialModel(_Record):
         object.__setattr__(self, "v", tuple(v))
         object.__setattr__(self, "is_exact", exact)
 
-    @staticmethod
-    def zero() -> "PotentialModel":
-        return PotentialModel()
-
-    @staticmethod
-    def coulomb(strength) -> "PotentialModel":
-        return PotentialModel(v_minus1=strength)
-
 
 class PhysicalUnits(_Record):
     """The scale hbar^2/2m in front of the kinetic term; exact and positive."""

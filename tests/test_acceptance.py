@@ -144,24 +144,24 @@ def test_06_point_source_of_u_over_r():
 
 
 def test_07_coulomb_bound_state_series_and_verdict():
-    res = frobenius(PotentialModel.coulomb(-2), 0, Fraction(-1), 0, 12)
+    res = frobenius(PotentialModel(-2), 0, Fraction(-1), 0, 12)
     for k in range(13):
         assert res.series.coeffs[k] == Fraction((-1) ** k, factorial(k))
-    verdict = classify_solution(PotentialModel.coulomb(-2), 0, 0, Fraction(-1), 0, 12)
+    verdict = classify_solution(PotentialModel(-2), 0, 0, Fraction(-1), 0, 12)
     assert verdict.kind is VerdictKind.SOLVES_SE
     assert verdict.boundary_condition_met
     _pass(7, "hydrogen-like regular series a_k = (-1)^k/k!, plain-solution verdict")
 
 
 def test_08_free_particle_singular_source():
-    verdict = classify_solution(PotentialModel.zero(), 0, 0, Fraction(1), -1, 8)
+    verdict = classify_solution(PotentialModel(), 0, 0, Fraction(1), -1, 8)
     assert verdict.kind is VerdictKind.SOLVES_MODIFIED_SE
     expected = DeltaSum.build([DeltaTerm(ExactScalar.pi_term(2, 1), 0, 0, 0)])
     assert verdict.delta_source == expected
     # cross-check against the Hamiltonian decomposition
-    res = frobenius(PotentialModel.zero(), 0, Fraction(1), -1, 8)
+    res = frobenius(PotentialModel(), 0, Fraction(1), -1, 8)
     pf = from_u(res.series, AngularLabel(0, 0))
-    expr = hamiltonian_apply(pf, PotentialModel.zero(), Fraction(1))
+    expr = hamiltonian_apply(pf, PotentialModel(), Fraction(1))
     assert expr.delta_part == expected
     assert expr.pf_part.radial == pf.radial.scaled(Fraction(1))
     _pass(8, "free-particle singular branch sources exactly 2*sqrt(pi)*u(0)*delta")
@@ -169,7 +169,7 @@ def test_08_free_particle_singular_source():
 
 def test_09_singular_root_leading_term():
     for ell in range(5):
-        res = frobenius(PotentialModel.zero(), ell, Fraction(1), -(ell + 1), 2 * ell + 5)
+        res = frobenius(PotentialModel(), ell, Fraction(1), -(ell + 1), 2 * ell + 5)
         pf = from_u(res.series, AngularLabel(ell, 0))
         ds = q_sl(pf)
         assert ds.terms == (DeltaTerm(coeff_B(ell, ell) * coeff_C(ell), ell, 0, ell),)

@@ -62,7 +62,7 @@ class TestQNonvanishing:
 
 class TestClassifySolution:
     def test_coulomb_regular_is_plain_solution(self):
-        v = classify_solution(PotentialModel.coulomb(-2), 0, 0, Fraction(-1), 0, 10)
+        v = classify_solution(PotentialModel(-2), 0, 0, Fraction(-1), 0, 10)
         assert v.kind is VerdictKind.SOLVES_SE
         assert v.delta_source.is_empty
         assert v.boundary_condition_met
@@ -71,7 +71,7 @@ class TestClassifySolution:
         assert v.equations_cited == (EquationForm.SCHROEDINGER,)
 
     def test_free_particle_singular_l0(self):
-        v = classify_solution(PotentialModel.zero(), 0, 0, Fraction(1), -1, 8)
+        v = classify_solution(PotentialModel(), 0, 0, Fraction(1), -1, 8)
         assert v.kind is VerdictKind.SOLVES_MODIFIED_SE
         assert v.delta_source.terms == (DeltaTerm(ExactScalar.pi_term(2, 1), 0, 0, 0),)
         assert v.u_at_origin == 1
@@ -80,13 +80,13 @@ class TestClassifySolution:
         assert EquationForm.REDUCED_POINT_SOURCED in v.equations_cited
 
     def test_exact_and_float_verdicts_of_a_dyadic_problem_differ(self):
-        exact = classify_solution(PotentialModel.zero(), 0, 0, Fraction(0), -1, 4)
-        flt = classify_solution(PotentialModel.zero(), 0, 0, 0.0, -1, 4)
+        exact = classify_solution(PotentialModel(), 0, 0, Fraction(0), -1, 4)
+        flt = classify_solution(PotentialModel(), 0, 0, 0.0, -1, 4)
         assert exact.delta_source == flt.delta_source and exact.kind is flt.kind
         assert exact != flt
 
     def test_free_particle_singular_l1(self):
-        v = classify_solution(PotentialModel.zero(), 1, 1, Fraction(1), -2, 8)
+        v = classify_solution(PotentialModel(), 1, 1, Fraction(1), -2, 8)
         assert v.kind is VerdictKind.SOLVES_MODIFIED_SE
         assert v.delta_source.terms == (DeltaTerm(ExactScalar.pi_term(2, 2), 1, 1, 1),)
         assert not v.normalizable
@@ -94,7 +94,7 @@ class TestClassifySolution:
         assert EquationForm.REDUCED_POINT_SOURCED not in v.equations_cited
 
     def test_obstruction_becomes_verdict(self):
-        v = classify_solution(PotentialModel.coulomb(-2), 0, 0, Fraction(-1), -1, 8)
+        v = classify_solution(PotentialModel(-2), 0, 0, Fraction(-1), -1, 8)
         assert v.kind is VerdictKind.NOT_RADIAL_SOLUTION
         assert v.obstruction_order == 1
         assert v.u_series is None
@@ -107,7 +107,7 @@ class TestClassifySolution:
 
         monkeypatch.setattr(distpf.classify, "frobenius", unreachable)
         with pytest.raises(ValueError, match="mu"):
-            classify_solution(PotentialModel.coulomb(-2), 0, 3, Fraction(-1), root, 8)
+            classify_solution(PotentialModel(-2), 0, 3, Fraction(-1), root, 8)
 
     def test_regular_root_sweep_always_solves(self, rng):
         for _ in range(40):
@@ -124,7 +124,7 @@ class TestClassifySolution:
         kappa = Fraction(1)
         for ell in range(5):
             E = Fraction(rng.randint(-3, 3))
-            v = classify_solution(PotentialModel.zero(), ell, 0, E, -(ell + 1), 2 * ell + 5)
+            v = classify_solution(PotentialModel(), ell, 0, E, -(ell + 1), 2 * ell + 5)
             assert v.kind is VerdictKind.SOLVES_MODIFIED_SE
             expected = -kappa * coeff_B(ell, ell) * coeff_C(ell)
             if ell == 0:
@@ -136,10 +136,10 @@ class TestClassifySolution:
             E = Fraction(2)
             units = PhysicalUnits(Fraction(rng.randint(1, 3)))
             root = -(ell + 1)
-            v = classify_solution(PotentialModel.zero(), ell, 0, E, root, 8, units)
-            res = frobenius(PotentialModel.zero(), ell, E, root, 8, units)
+            v = classify_solution(PotentialModel(), ell, 0, E, root, 8, units)
+            res = frobenius(PotentialModel(), ell, E, root, 8, units)
             pf = from_u(res.series, AngularLabel(ell, 0))
-            expr = hamiltonian_apply(pf, PotentialModel.zero(), E, units)
+            expr = hamiltonian_apply(pf, PotentialModel(), E, units)
             assert v.delta_source == expr.delta_part
 
     def test_boundary_condition_equivalent_to_membership(self, rng):
@@ -174,7 +174,7 @@ class TestClassifySolution:
             for root in indicial_roots(ell)
             for E in (Fraction(1), 1.0)
         ]
-        cases.append((PotentialModel.coulomb(-2), 0, Fraction(-1), -1))  # log obstruction
+        cases.append((PotentialModel(-2), 0, Fraction(-1), -1))  # log obstruction
         kinds = set()
         for V, ell, E, root in cases:
             v = classify_solution(V, ell, 0, E, root, 8)

@@ -97,9 +97,9 @@ class TestConfigParsing:
 
 # One verdict of each kind.
 VERDICTS = {
-    "regular": lambda: classify_solution(PotentialModel.coulomb(-2), 0, 0, Fraction(-1), 0, 8),
-    "singular": lambda: classify_solution(PotentialModel.zero(), 0, 0, Fraction(1), -1, 8),
-    "obstructed": lambda: classify_solution(PotentialModel.coulomb(-2), 0, 0, Fraction(-1), -1, 8),
+    "regular": lambda: classify_solution(PotentialModel(-2), 0, 0, Fraction(-1), 0, 8),
+    "singular": lambda: classify_solution(PotentialModel(), 0, 0, Fraction(1), -1, 8),
+    "obstructed": lambda: classify_solution(PotentialModel(-2), 0, 0, Fraction(-1), -1, 8),
 }
 
 # A change to each key that a verdict's document derives from its state.
@@ -211,7 +211,7 @@ class TestRun:
 
     def test_solve_reports_obstruction_exit_2(self):
         spec = ProblemSpec(
-            potential=PotentialModel.coulomb(-2), energy=Fraction(-1), root="both", order=6
+            potential=PotentialModel(-2), energy=Fraction(-1), root="both", order=6
         )
         code, report, doc = run("solve", spec)
         assert code == 2

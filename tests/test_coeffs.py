@@ -28,11 +28,11 @@ class TestExactScalar:
         sqrt_pi = ExactScalar.pi_term(1, 1)
         assert sqrt_pi * sqrt_pi == pi
         assert pi + pi == ExactScalar.pi_term(2, 2)
-        assert pi - pi == ExactScalar.zero()
+        assert pi - pi == ExactScalar()
         assert (pi * 3) / 3 == pi
         assert pi / sqrt_pi == sqrt_pi
         assert 2 * pi == pi + pi
-        assert 1 - ExactScalar.rational(1) == ExactScalar.zero()
+        assert 1 - ExactScalar.rational(1) == ExactScalar()
 
     def test_division_requires_single_term(self):
         mixed = ExactScalar.rational(1) + ExactScalar.pi_term(1, 2)
@@ -45,7 +45,7 @@ class TestExactScalar:
         assert str(pi_times(-4)) == "-4*pi"
         assert str(ExactScalar.pi_term(2, 1)) == "2*sqrt(pi)"
         assert str(ExactScalar.pi_term(Fraction(1, 2), -1)) == "1/2*pi^(-1/2)"
-        assert str(ExactScalar.zero()) == "0"
+        assert str(ExactScalar()) == "0"
         assert str(ExactScalar.pi_term(-1, 2)) == "-pi"
         assert str(ExactScalar.pi_term(1, 4)) == "pi^2"
         assert str(ExactScalar.pi_term(3, -2)) == "3*pi^-1"

@@ -11,7 +11,9 @@ exact ``frobenius`` series at a deep order, with a resonance on the
 singular root, the exact ``radial_residuals`` of a perturbed copy, and
 strict and lenient exact ``hamiltonian_apply`` on both.
 Each ``demos/0N_*.py`` runs in a subprocess, and its stdout must equal
-``demo_0N.txt`` byte for byte.
+``demo_0N.txt`` byte for byte.  Each classify and solve case also runs
+without ``--json``, with ``serialize_series`` made to raise: the stored
+stdout and exit code must come out all the same.
 
 The stored data lives in ``tests/golden/``.  After an intended output
 change, regenerate it with
@@ -100,14 +102,14 @@ for _ell in range(4):
         )
 
 
-def run_cli_case(config: str, argv: list) -> dict:
+def run_cli_case(config: str, argv: list, write_json: bool = True) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         cfg = pathlib.Path(tmp) / "case.cfg"
         cfg.write_text(config)
         out_json = pathlib.Path(tmp) / "out.json"
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = main([*argv, "--config", str(cfg), "--json", str(out_json)])
+            code = main([*argv, "--config", str(cfg), *(["--json", str(out_json)] if write_json else [])])
         return {
             "exit_code": code,
             "stdout": stdout.getvalue(),
@@ -208,6 +210,19 @@ def test_cli_golden(name):
     if got["json"] is not None:
         _strict_loads(got["json"])
     assert got == _load(name)
+
+
+def _refuse_series(series):
+    raise AssertionError("serialize_series called without --json")
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CLI_CASES if name.startswith(("classify", "solve"))))
+def test_report_without_json_serialises_nothing(monkeypatch, name):
+    """Without --json, classify and solve print the stored report and build no document."""
+    monkeypatch.setattr(distpf.cli, "serialize_series", _refuse_series)
+    got = run_cli_case(*CLI_CASES[name], write_json=False)
+    stored = _load(name)
+    assert got == {"exit_code": stored["exit_code"], "stdout": stored["stdout"], "json": None}
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda path: path.stem)

@@ -3,7 +3,8 @@
 Every mutant replaces one name where the engine looks it up
 (``distlap.coeff_B``, not ``coeffs.coeff_B``; a property on its class)
 and names the check that kills it: the default ``distpf verify`` grid, a
-closed-form family of ``tests/test_radial.py`` or an acceptance test.
+closed-form family of ``tests/test_radial.py``, an acceptance test or the
+recurrence residual rows of ``radial_residuals``.
 None of these checks reads golden bytes.  A rule that lands in ``src/``
 adds its mutant here.  A rule written inline, which no replaced name
 reaches, is a source-level mutant: one string rewritten in a copy of
@@ -195,6 +196,29 @@ SOURCE_MUTANTS = [
         "ExactScalar.rational(units.hbar2_over_2m)",
         "tests/test_acceptance.py::test_08_free_particle_singular_source",
         id="delta source scaled by +hbar^2/2m, not -hbar^2/2m",
+    ),
+    pytest.param(
+        "distlap.py",
+        "pf.radial._head(-s - ell)",
+        "pf.radial._head(-s - ell - 1)",
+        "tests/test_acceptance.py::test_10_identity_grid",
+        id="rung bound k <= -s-ell-2, one rung too few",
+    ),
+    pytest.param(
+        "distlap.py",
+        "range((ell - s - 1) % 2, ",
+        "range(0, ",
+        "tests/test_acceptance.py::test_10_identity_grid",
+        id="rung parity step starting at k = 0",
+    ),
+    # No oracle check reads a verdict yet (ROADMAP item 3); the residual rows
+    # of radial_residuals share no code with the resonance branch.
+    pytest.param(
+        "radial.py",
+        "elif rhs != 0:",
+        "elif False:",
+        "tests/test_radial.py::TestFrobenius::test_residuals_vanish_for_solutions",
+        id="nonzero resonant row set to zero, not a LogObstruction",
     ),
 ]
 

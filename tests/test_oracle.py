@@ -254,7 +254,7 @@ LABELS = [(ell, mu) for ell in range(1, 9) for mu in range(-ell, ell + 1)]
 
 def _sphere_inner(p1, p2):
     """int over the unit sphere of p1 * p2 dOmega, over pi (exact)."""
-    total = ExactScalar.zero()
+    total = ExactScalar()
     for mono, c in _poly_mul(p1, p2).items():
         total = total + c * angular_moment(*mono)
     return total / ExactScalar.pi_term(1, 2)
@@ -321,7 +321,7 @@ class TestPairings:
         )
 
     def test_zero_pf(self):
-        pf = PseudoFunction(RadialSeries.zero(), AngularLabel(0, 0))
+        pf = PseudoFunction(RadialSeries(0, ()), AngularLabel(0, 0))
         assert pair_pseudofunction(pf, TestFunction({(0, 0, 0): 1}, 1)) == 0.0
 
     def test_non_integral_exponent_rejected(self):

@@ -1,7 +1,7 @@
 """Module structure of distpf: an acyclic import graph, imports at top level only,
 stdlib only, ``dataclasses`` in ``classify`` only, no private name left unread, no
-public name or class member that nothing needs, and a package namespace that is the
-union of the module ``__all__`` lists."""
+public name or class member that nothing needs, no alias constructor, and a package
+namespace that is the union of the module ``__all__`` lists."""
 
 import ast
 import graphlib
@@ -223,4 +223,38 @@ def test_every_public_member_is_read():
         for member, value in vars(cls).items()
         if not member.startswith("_") and isinstance(value, members) and member not in read
     ]
+    assert found == []
+
+
+
+def test_no_alias_constructor():
+    """Each value is built by calling its class: no staticmethod or classmethod
+    of a class in ``distpf.__all__`` has a body that is only ``return Cls(...)``
+    (or ``cls(...)``) with each argument a constant, ``()`` or one of its own
+    parameters, a second name for a call of the class."""
+    public = set(distpf.__all__)
+    found = []
+    for tree in _trees().values():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in public):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                decorators = {d.id for d in fn.decorator_list if isinstance(d, ast.Name)}
+                body = fn.body[1:] if ast.get_docstring(fn) else fn.body
+                if not (decorators & {"staticmethod", "classmethod"} and len(body) == 1):
+                    continue
+                call = body[0].value if isinstance(body[0], ast.Return) else None
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)):
+                    continue
+                params = {a.arg for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)}
+                trivial = all(
+                    isinstance(a, ast.Constant)
+                    or (isinstance(a, ast.Tuple) and not a.elts)
+                    or (isinstance(a, ast.Name) and a.id in params)
+                    for a in [*call.args, *(keyword.value for keyword in call.keywords)]
+                )
+                if call.func.id in (cls.name, "cls") and trivial:
+                    found.append(f"{cls.name}.{fn.name}")
     assert found == []
