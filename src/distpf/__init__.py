@@ -9,23 +9,43 @@ and verifies every symbolic identity numerically through Hadamard
 finite-part pairings with polynomial-Gaussian test functions.
 """
 
-# Each module's __all__ is the one list of its public names; the package
-# exports their union.  No name may appear in two lists (a later star
-# import would shadow it silently), which tests/test_structure.py checks.
-from .coeffs import *
-from .pseudofunction import *
-from .distlap import *
-from .radial import *
-from .classify import *
-from .oracle import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *coeffs.__all__,
-    *pseudofunction.__all__,
-    *distlap.__all__,
-    *radial.__all__,
-    *classify.__all__,
-    *oracle.__all__,
-]
+# Each module's public names, as its own __all__ lists them, with the
+# modules in import order; the package exports their union, and no name
+# sits in two lists (tests/test_structure.py checks both).  A name is
+# imported from its module on first lookup (PEP 562) and then bound here,
+# so `import distpf` loads no submodule and a command only what it runs.
+_DEFERRED = {
+    "coeffs": ("ExactScalar", "coeff_C", "coeff_L", "coeff_B"),
+    "pseudofunction": (
+        "RadialSeries", "AngularLabel", "PseudoFunction", "DeltaTerm", "DeltaSum", "DistributionExpr", "from_u",
+    ),
+    "distlap": ("NotRadialSolution", "q_sl", "laplacian", "hamiltonian_apply", "delta_source"),
+    "radial": (
+        "PotentialModel", "PhysicalUnits", "LogObstruction", "FreeParameterSetToZero", "FrobeniusResult",
+        "indicial_roots", "frobenius", "radial_residuals", "normalizable_at_origin",
+    ),
+    "classify": ("VerdictKind", "EquationForm", "Verdict", "q_nonvanishing", "classify_solution"),
+    "oracle": (
+        "EULER_GAMMA", "TestFunction", "testfn_laplacian", "angular_moment", "finite_part_integral",
+        "finite_part_closed_form", "pair_pseudofunction", "pair_delta", "verify_laplacian_identity",
+    ),
+}
+
+__all__ = [name for names in _DEFERRED.values() for name in names]
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            value = getattr(importlib.import_module(f".{module}", __name__), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

@@ -34,6 +34,7 @@ bit-identically.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -41,10 +42,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .classify import EQUATION_DESCRIPTIONS, Verdict, VerdictKind, classify_solution
 from .coeffs import ExactScalar, _Record, coeff_B, coeff_C, coeff_L
-from .distlap import laplacian
-from .oracle import TestFunction, verify_laplacian_identity
 from .pseudofunction import (
     AngularLabel,
     DeltaSum,
@@ -69,6 +67,32 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
+
+# build_spec needs coeffs, pseudofunction and radial for every command, so
+# they are imported above; the names this module takes from the other
+# modules are bound by the command that first calls them, so `coeffs` and
+# `solve` never load classify, distlap or oracle.
+_DEFERRED = {
+    "classify": ("EQUATION_DESCRIPTIONS", "Verdict", "VerdictKind", "classify_solution"),
+    "distlap": ("laplacian",),
+    "oracle": ("TestFunction", "verify_laplacian_identity"),
+}
+
+
+def _load(module: str) -> None:
+    """Bind this module's names from ``distpf.<module>``, keeping any bound already
+    (``perfbench``'s tracer binds wrappers in their place)."""
+    loaded = importlib.import_module(f".{module}", __package__)
+    for name in _DEFERRED[module]:
+        globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -352,6 +376,7 @@ def serialize_verdict(v: Verdict) -> dict:
 
 def parse_verdict(doc: dict) -> Verdict:
     """The verdict on the document's state; ValueError names a derived key that disagrees."""
+    _load("classify")
     series = parse_series(doc["u_series"]) if doc["u_series"] is not None else None
     v = Verdict.of(doc["root"], parse_delta_sum(doc["delta_source"]), series, doc["obstruction_order"])
     derived = serialize_verdict(v)
@@ -424,6 +449,7 @@ def _residual_grid(cases, tol: float):
 
     A NaN residual makes ``worst`` NaN; the gate passes only if worst <= tol.
     """
+    _load("oracle")
     rows = []
     polys = [{(0, 0, 0): 1}, {(0, 0, 0): 1, (1, 0, 0): 1}, {(2, 0, 0): 1, (0, 1, 1): -2, (0, 0, 0): 3}]
     phis = [
@@ -449,6 +475,7 @@ def _residual_grid(cases, tol: float):
 
 
 def _cmd_laplacian(spec: ProblemSpec):
+    _load("distlap")
     pf = _require_series(spec)
     expr = laplacian(pf)
     lines = [f"laplacian of Pf[{_series_text(pf.radial)}] * Y[{spec.ell},{spec.mu}]"]
@@ -484,6 +511,7 @@ def _cmd_solve(spec: ProblemSpec):
 
 
 def _cmd_classify(spec: ProblemSpec):
+    _load("classify")
     lines, verdicts, code = [], [], 0
     for root in _roots_for(spec):
         v = classify_solution(

@@ -240,6 +240,23 @@ class TestRun:
         with pytest.raises(ValueError):
             run("nope", ProblemSpec())
 
+    @pytest.mark.parametrize(
+        "command, name, spec",
+        [
+            ("laplacian", "laplacian", ProblemSpec(s=-3, coeffs=(Fraction(1),))),
+            ("laplacian", "verify_laplacian_identity", ProblemSpec(s=-3, coeffs=(Fraction(1),), verify=True)),
+            ("classify", "classify_solution", ProblemSpec(energy=Fraction(1), root="singular", order=4)),
+        ],
+    )
+    def test_command_calls_a_deferred_name_as_bound_on_the_module(self, monkeypatch, command, name, spec):
+        """A command loads its module without rebinding a name already bound on
+        ``distpf.cli``, so a wrapper set there (as ``perfbench``'s tracer sets
+        one) sees every call."""
+        original, calls = getattr(distpf.cli, name), []
+        monkeypatch.setattr(distpf.cli, name, lambda *args: calls.append(args) or original(*args))
+        assert run(command, spec, document=False)[0] == 0
+        assert calls
+
 
 class TestMain:
     def test_coeffs(self, capsys):

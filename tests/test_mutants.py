@@ -8,7 +8,8 @@ recurrence residual rows of ``radial_residuals``.
 None of these checks reads golden bytes.  A rule that lands in ``src/``
 adds its mutant here.  A rule written inline, which no replaced name
 reaches, is a source-level mutant: one string rewritten in a copy of
-``src/``, with its killer run against that copy in a fresh interpreter.
+``src/``, with its killer run against that copy in a fresh interpreter;
+every killer also runs once, in one session, on one shared clean copy.
 """
 
 import contextlib
@@ -223,24 +224,34 @@ SOURCE_MUTANTS = [
 ]
 
 
-def _pytest_on(src, test_id):
-    """Run one test with ``src`` first on the import path: pytest's own
+def _pytest_on(src, *test_ids):
+    """Run tests with ``src`` first on the import path: pytest's own
     ``pythonpath`` setting would put the checkout's ``src/`` ahead of it."""
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "pythonpath=", test_id]
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "pythonpath=", *test_ids]
     return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
 
 
-@pytest.mark.parametrize("module, original, rewritten, killer", SOURCE_MUTANTS)
-def test_source_mutant_is_killed(tmp_path, module, original, rewritten, killer):
-    src = tmp_path / "src"
+def _copy_src(dest):
+    src = dest / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    path = src / "distpf" / module
+    return src
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """Every distinct source-mutant killer, run once in one session on one clean copy of ``src/``."""
+    killers = dict.fromkeys(param.values[-1] for param in SOURCE_MUTANTS)
+    return _pytest_on(_copy_src(tmp_path_factory.mktemp("clean")), *killers)
+
+
+@pytest.mark.parametrize("module, original, rewritten, killer", SOURCE_MUTANTS)
+def test_source_mutant_is_killed(tmp_path, clean_run, module, original, rewritten, killer):
+    assert clean_run.returncode == 0, clean_run.stdout
+    path = _copy_src(tmp_path) / "distpf" / module
     text = path.read_text()
     assert text.count(original) == 1
-    clean = _pytest_on(src, killer)
-    assert clean.returncode == 0, clean.stdout
     path.write_text(text.replace(original, rewritten))
-    mutated = _pytest_on(src, killer)
+    mutated = _pytest_on(path.parents[1], killer)
     assert mutated.returncode == 1 and "1 failed" in mutated.stdout, mutated.stdout

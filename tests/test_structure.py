@@ -1,16 +1,25 @@
-"""Module structure of distpf: an acyclic import graph, imports at top level only,
-stdlib only, ``dataclasses`` in ``classify`` only, no private name left unread, no
-public name or class member that nothing needs, no alias constructor, and a package
-namespace that is the union of the module ``__all__`` lists."""
+"""Module structure of distpf: an acyclic import graph, imports at top level only
+(but for the two loaders of deferred names), stdlib only, ``dataclasses`` in
+``classify`` only, no private name left unread, no public name or class member
+that nothing needs, no alias constructor, a package namespace that is the union of
+the module ``__all__`` lists and resolves each name on first lookup, and commands
+that load only the modules they run."""
 
 import ast
 import graphlib
 import importlib
+import json
+import os
 import pathlib
+import re
+import subprocess
 import sys
 import types
 
+import pytest
+
 import distpf
+import distpf.cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "distpf"
@@ -20,9 +29,20 @@ def _trees() -> dict:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def _relative_imports(tree) -> set:
-    """Names of the sibling modules a module imports anywhere in its body."""
+def _deferred_modules(tree) -> set:
+    """Keys of a module-level ``_DEFERRED`` table: the sibling modules that the
+    module's loader imports by name with ``importlib.import_module``."""
     out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_DEFERRED" for t in node.targets):
+            out.update(key.value for key in node.value.keys)
+    return out
+
+
+def _relative_imports(tree) -> set:
+    """Names of the sibling modules a module imports anywhere in its body, or loads
+    through its ``_DEFERRED`` table."""
+    out = _deferred_modules(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module:
@@ -46,6 +66,9 @@ def _absolute_imports(tree) -> list:
 def test_relative_imports_form_no_cycle():
     trees = _trees()
     graph = {name: _relative_imports(tree) & trees.keys() for name, tree in trees.items()}
+    # The loaders' edges, which only their _DEFERRED tables show.
+    assert graph["__init__"] == trees.keys() - {"__init__", "cli"}
+    assert {"classify", "distlap", "oracle"} <= graph["cli"]
     try:
         list(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as exc:
@@ -63,6 +86,28 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert found == []
+
+
+def _import_module_calls(node) -> int:
+    """Calls of ``import_module`` or ``__import__``, as a name or an attribute, in ``node``."""
+    calls = (n.func for n in ast.walk(node) if isinstance(n, ast.Call))
+    return sum(getattr(f, "attr", getattr(f, "id", None)) in ("import_module", "__import__") for f in calls)
+
+
+def test_import_module_only_in_the_loaders():
+    """``importlib.import_module`` (or ``__import__``) is called only by the package's PEP 562
+    ``__getattr__`` and the CLI's ``_load``, the two loaders of deferred names;
+    ``test_no_import_inside_a_function`` does not see such a call."""
+    found = []
+    for name, tree in _trees().items():
+        in_functions = 0
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _import_module_calls(fn):
+                found.append(f"{name}.{fn.name}")
+                in_functions += _import_module_calls(fn)
+        if _import_module_calls(tree) > in_functions:
+            found.append(f"{name} at module level")
+    assert sorted(found) == ["__init__.__getattr__", "cli._load"]
 
 
 def test_only_stdlib_imports():
@@ -193,10 +238,12 @@ def test_every_private_name_is_read_in_src():
 
 
 def test_package_exports_the_union_of_module_all_lists():
-    """Every module but ``cli`` is star-imported into the package."""
+    """Every module but ``cli`` exports its ``__all__`` through the package,
+    whose table lists each module's names in its own order."""
     owners = {}
     for name in sorted(_trees().keys() - {"__init__", "cli"}):
         module = importlib.import_module(f"distpf.{name}")
+        assert distpf._DEFERRED[name] == tuple(module.__all__), name
         for public in module.__all__:
             assert public not in owners, f"{public} in {owners[public].__name__} and {name}"
             assert hasattr(module, public), f"{name}.__all__ names unbound {public}"
@@ -204,6 +251,74 @@ def test_package_exports_the_union_of_module_all_lists():
     assert sorted(distpf.__all__) == sorted(owners)
     for public, module in owners.items():
         assert getattr(distpf, public) is getattr(module, public), public
+
+
+def test_package_namespace_resolves_names_on_lookup():
+    """``dir``, star import and attribute lookup see the same names as ``__all__``;
+    a resolved name is bound in the package, and an unknown one is an error."""
+    assert set(distpf.__all__) <= set(dir(distpf))
+    star: dict = {}
+    exec("from distpf import *", star)
+    assert star.keys() - {"__builtins__"} == set(distpf.__all__)
+    assert all(star[name] is getattr(distpf, name) for name in distpf.__all__)
+    assert all(name in vars(distpf) for name in distpf.__all__)
+    for module in (distpf, distpf.cli):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+
+
+# The modules each command loads besides distpf, distpf.coeffs,
+# distpf.pseudofunction and distpf.radial, which build_spec needs for all.
+COMMAND_MODULES = [
+    (["coeffs", "--order", "3"], set()),
+    (["solve", "--energy", "-1/4", "--order", "4"], set()),
+    (["laplacian", "--config", "{cfg}"], {"distpf.distlap"}),
+    (["laplacian", "--config", "{cfg}", "--verify"], {"distpf.distlap", "distpf.oracle"}),
+    (["verify"], {"distpf.distlap", "distpf.oracle"}),
+    (["classify", "--energy", "-1/4", "--order", "4"], {"distpf.classify", "distpf.distlap", "dataclasses"}),
+]
+
+
+def _imported(args: list, cwd) -> set:
+    """The distpf modules and ``dataclasses`` that a fresh interpreter run with
+    ``args`` imports, from its ``-v`` trace: one ``import 'name'`` line per
+    module as it enters ``sys.modules``, whatever imported it."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-v", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = set(re.findall(r"^import '([\w.]+)' #", proc.stderr, re.MULTILINE))
+    return {m for m in loaded if m.split(".")[0] in ("distpf", "dataclasses")}
+
+
+@pytest.mark.parametrize("route", ["-m", "main"])
+@pytest.mark.parametrize("argv, extra", COMMAND_MODULES, ids=[" ".join(argv) for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_what_it_runs(tmp_path, route, argv, extra):
+    """Run through ``python -m distpf.cli`` (the code runs as ``__main__``) and through
+    ``distpf.cli.main`` (as the console script does), a command imports the
+    four modules every command needs and the ones it runs, nothing else."""
+    cfg = tmp_path / "pf.cfg"
+    cfg.write_text("s = -3\ncoeffs = 1, 2\nell = 1\nmu = 0\n")
+    argv = [a.format(cfg=cfg) for a in argv]
+    expected = {"distpf", "distpf.coeffs", "distpf.pseudofunction", "distpf.radial", *extra}
+    if route == "-m":
+        args = ["-m", "distpf.cli", *argv]
+    else:
+        args = ["-c", "import sys, distpf.cli; sys.exit(distpf.cli.main(sys.argv[1:]))", *argv]
+        expected.add("distpf.cli")
+    assert _imported(args, tmp_path) == expected
+
+
+def test_import_distpf_loads_no_submodule(tmp_path):
+    assert _imported(["-c", "import distpf"], tmp_path) == {"distpf"}
+
+
+def test_parse_verdict_loads_classify(tmp_path):
+    """``perfbench``'s check parses a verdict in a process that ran no command."""
+    doc = distpf.cli.run("classify", distpf.cli.build_spec({}, {"root": "singular"}))[2]["verdict"]
+    code = "import json, sys, distpf.cli; distpf.cli.parse_verdict(json.loads(sys.argv[1]))"
+    assert "distpf.classify" in _imported(["-c", code, json.dumps(doc)], tmp_path)
 
 
 def test_every_public_member_is_read():
